@@ -30,6 +30,7 @@
 #include <cstdio>
 #include <cstring>
 #include <memory>
+#include <string>
 #include <vector>
 
 using namespace padre;
@@ -159,9 +160,11 @@ ShardRow runShardScaling(unsigned Shards, std::uint64_t Rounds) {
   auto Service =
       makeService(CachePolicy::Prioritized, /*BudgetBytes=*/0, Shards);
   std::vector<VolumeService::TenantId> Ids;
-  for (unsigned I = 0; I < 3; ++I)
-    Ids.push_back(
-        Service->addTenant("t" + std::to_string(I), TenantConfig{}));
+  for (unsigned I = 0; I < 3; ++I) {
+    std::string Name = "t";
+    Name += std::to_string(I);
+    Ids.push_back(Service->addTenant(Name, TenantConfig{}));
+  }
   for (std::uint64_t Round = 0; Round < Rounds; ++Round) {
     for (unsigned I = 0; I < 3; ++I) {
       // Even rounds write a shared image (cross-tenant duplicates);

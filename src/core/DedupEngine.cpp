@@ -8,7 +8,6 @@
 #include "core/DedupEngine.h"
 
 #include <algorithm>
-#include <array>
 #include <cassert>
 
 using namespace padre;
@@ -19,7 +18,6 @@ DedupEngine::DedupEngine(const CostModel &Model, ResourceLedger &Ledger,
                          const obs::ObsSinks &Obs)
     : Model(Model), Ledger(Ledger), Pool(Pool), Ssd(Ssd), Device(Device),
       Config(Config), Index(makeFingerprintIndex(Config.Index)),
-      HashWidth(std::clamp(Model.Cpu.HashBatchWidth, 1u, Sha1Batch::MaxWidth)),
       Offload(Config.GpuOffload ? Config.OffloadInitial : 0.0) {
   assert(isValidCostModel(Model) && "Invalid cost model");
   if (Config.GpuOffload) {
@@ -37,15 +35,6 @@ DedupEngine::DedupEngine(const CostModel &Model, ResourceLedger &Ledger,
     BinFlushes = &Obs.Metrics->counter(
         "padre_bin_flushes_total",
         "Bin-buffer drains (sequential SSD log writes)");
-    HashWidthGauge = &Obs.Metrics->gauge(
-        "padre_hash_batch_width",
-        "Multi-buffer SHA-1 lanes per batched hash call (1 = serial)");
-    HashWidthGauge->set(static_cast<double>(HashWidth));
-    if (Config.Index.Concurrent)
-      CasRetryCounter = &Obs.Metrics->counter(
-          "padre_index_cas_retry_total",
-          "Failed CAS attempts (slot claims and bin-lock acquisitions) "
-          "in the concurrent index");
     if (Config.GpuOffload) {
       OffloadGauge = &Obs.Metrics->gauge(
           "padre_dedup_offload_fraction",
@@ -111,49 +100,21 @@ fault::Status DedupEngine::processBatch(
     offloadToGpu(Chunks, Selected, IsSelected, Fingerprints,
                  KnownDuplicate, ResolvedLocations, LatencyUs);
 
-  // CPU hashing for everything the GPU did not take — chunk-parallel
-  // across slices, multi-buffer within each slice: lanes fill with
-  // consecutive unselected chunks and hash as one interleaved group
-  // (Sha1Batch). Every lane in a group waits for the group's longest
-  // chunk — the SIMD lockstep the cost model charges via
-  // cpuHashBatchUs. At width 1 the group is a single chunk and both
-  // the digests and the charged costs are bit-identical to the old
-  // serial loop.
-  const unsigned Width = HashWidth;
+  // CPU hashing for everything the GPU did not take: "there is no
+  // data dependency between chunks … in the hashing phase", so the
+  // batch splits into independent slices across the pool.
   Pool.parallelForSlices(
       0, Count,
       [&](std::size_t Begin, std::size_t End, unsigned) {
         double Micros = 0.0;
-        std::array<std::uint32_t, Sha1Batch::MaxWidth> LaneItem;
-        std::array<ByteSpan, Sha1Batch::MaxWidth> LaneData;
-        std::array<Sha1::Digest, Sha1Batch::MaxWidth> LaneDigest;
-        unsigned Lanes = 0;
-        const auto FlushGroup = [&] {
-          if (Lanes == 0)
-            return;
-          Sha1Batch::digestGroup(
-              std::span<const ByteSpan>(LaneData.data(), Lanes),
-              std::span<Sha1::Digest>(LaneDigest.data(), Lanes));
-          std::size_t MaxBytes = 0;
-          for (unsigned L = 0; L < Lanes; ++L)
-            MaxBytes = std::max(MaxBytes, LaneData[L].size());
-          const double GroupUs = Model.cpuHashBatchUs(MaxBytes, Lanes);
-          for (unsigned L = 0; L < Lanes; ++L) {
-            Fingerprints[LaneItem[L]] = Fingerprint(LaneDigest[L]);
-            LatencyUs[LaneItem[L]] += GroupUs;
-          }
-          Micros += GroupUs;
-          Lanes = 0;
-        };
         for (std::size_t I = Begin; I < End; ++I) {
           if (IsSelected[I])
             continue;
-          LaneItem[Lanes] = static_cast<std::uint32_t>(I);
-          LaneData[Lanes] = Chunks[I].Data;
-          if (++Lanes == Width)
-            FlushGroup();
+          Fingerprints[I] = Fingerprint::ofData(Chunks[I].Data);
+          const double HashUs = Model.cpuHashUs(Chunks[I].Data.size());
+          LatencyUs[I] += HashUs;
+          Micros += HashUs;
         }
-        FlushGroup();
         Ledger.chargeMicros(Resource::CpuPool, Micros);
       });
 
@@ -210,7 +171,6 @@ fault::Status DedupEngine::processBatch(
 
   if (GpuTable)
     adaptOffload();
-  publishCasRetries();
   return FlushStatus;
 }
 
@@ -356,21 +316,10 @@ void DedupEngine::adaptOffload() {
     OffloadGauge->set(Offload);
 }
 
-void DedupEngine::publishCasRetries() {
-  if (!CasRetryCounter)
-    return;
-  const std::uint64_t Now = Index->casRetries();
-  if (Now > LastCasRetries)
-    CasRetryCounter->add(Now - LastCasRetries);
-  LastCasRetries = Now;
-}
-
 fault::Status DedupEngine::finish() {
   std::vector<FlushEvent> Flushes;
   Index->flushAll(Flushes);
-  const fault::Status Status = handleFlushes(Flushes);
-  publishCasRetries();
-  return Status;
+  return handleFlushes(Flushes);
 }
 
 fault::Status DedupEngine::restoreEntry(const Fingerprint &Fp,

@@ -28,7 +28,6 @@
 #include "chunk/Chunker.h"
 #include "fault/Status.h"
 #include "gpu/GpuDevice.h"
-#include "hash/Sha1Batch.h"
 #include "index/FingerprintIndex.h"
 #include "index/GpuBinTable.h"
 #include "obs/Obs.h"
@@ -140,10 +139,6 @@ private:
   /// Nudges the offload fraction toward CPU/GPU busy balance.
   void adaptOffload();
 
-  /// Publishes the concurrent index's CAS-retry delta to the
-  /// padre_index_cas_retry_total counter (no-op when disabled).
-  void publishCasRetries();
-
   CostModel Model;
   ResourceLedger &Ledger;
   ThreadPool &Pool;
@@ -160,11 +155,6 @@ private:
   /// top of every processBatch. Single-owner: only the batch-driving
   /// thread allocates (parallel slices read/write the spans in place).
   Arena BatchArena;
-  /// Multi-buffer SHA-1 lanes per batched hash call, from
-  /// Model.Cpu.HashBatchWidth clamped to [1, Sha1Batch::MaxWidth].
-  /// Width 1 reproduces the serial hash path bit-for-bit (same digests,
-  /// same per-chunk cost accumulation order).
-  unsigned HashWidth = 1;
   double Offload;
   // Ledger snapshot at the last adaptation step.
   double LastCpuBusy = 0.0;
@@ -175,11 +165,6 @@ private:
   obs::Gauge *OffloadGauge = nullptr;
   obs::Counter *BinFlushes = nullptr;
   obs::Counter *GpuFallbacks = nullptr;
-  obs::Gauge *HashWidthGauge = nullptr;
-  obs::Counter *CasRetryCounter = nullptr;
-  /// Index->casRetries() at the last publish (the counter is a delta
-  /// feed; the index keeps the cumulative truth).
-  std::uint64_t LastCasRetries = 0;
 };
 
 } // namespace padre

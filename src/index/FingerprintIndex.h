@@ -76,15 +76,6 @@ struct DedupIndexConfig {
   /// outcomes — sharding only changes the introspection granularity
   /// (per-shard stats) available to the service layer.
   unsigned Shards = 1;
-  /// Selects the lock-free concurrent implementation
-  /// (index/ConcurrentBinIndex.h): open-addressed cache-line-aligned
-  /// slot tables with CAS claim + release publication, safe to mutate
-  /// from many threads at once (DESIGN.md decision 15). Observationally
-  /// equivalent to the serial index on any single-threaded op sequence
-  /// (tests/OracleCheck.h); Shards then selects the concurrent index's
-  /// internal table shards instead of building the sequential
-  /// ShardedFingerprintIndex composite.
-  bool Concurrent = false;
 };
 
 /// Point-in-time statistics of one index shard (or of a whole unsharded
@@ -101,13 +92,6 @@ struct IndexShardStats {
   /// First and one-past-last bin id routed to this shard.
   std::uint32_t BinBegin = 0;
   std::uint32_t BinEnd = 0;
-  /// Mutations applied to this shard (concurrent index only; the
-  /// serial implementations report 0). A cheap freshness signal for
-  /// stats readers: two equal epochs bracket an unchanged shard.
-  std::uint64_t Epoch = 0;
-  /// Failed CAS attempts (slot claims + bin-lock acquisitions) on this
-  /// shard — the contention signal behind padre_index_cas_retry_total.
-  std::uint64_t CasRetries = 0;
 };
 
 /// The fingerprint-index contract (see index/DedupIndex.h for the
@@ -156,12 +140,6 @@ public:
   /// Shard introspection: an unsharded index is its own single shard.
   virtual unsigned shardCount() const { return 1; }
   virtual IndexShardStats shardStats(unsigned Shard) const = 0;
-
-  /// Cumulative failed CAS attempts across shards. The serial
-  /// implementations never retry (bins are partitioned, not contended)
-  /// and report 0; the concurrent index counts every lost slot-claim
-  /// and bin-lock race (exported as padre_index_cas_retry_total).
-  virtual std::uint64_t casRetries() const { return 0; }
 };
 
 /// Builds the index an engine config asks for: the plain bin index when

@@ -8,8 +8,6 @@
 
 #include "index/ShardedFingerprintIndex.h"
 
-#include "index/ConcurrentBinIndex.h"
-
 #include <algorithm>
 #include <cassert>
 
@@ -209,8 +207,6 @@ IndexShardStats ShardedFingerprintIndex::shardStats(unsigned Shard) const {
 
 std::unique_ptr<FingerprintIndex>
 padre::makeFingerprintIndex(const DedupIndexConfig &Config) {
-  if (Config.Concurrent)
-    return std::make_unique<ConcurrentBinIndex>(Config);
   if (Config.Shards <= 1)
     return std::make_unique<DedupIndex>(Config);
   return std::make_unique<ShardedFingerprintIndex>(Config);

@@ -13,22 +13,9 @@
 
 using namespace padre;
 
-namespace {
-
-/// Applies the ServiceConfig::ConcurrentIndex convenience switch to the
-/// nested pipeline config before anything is built from it.
-ServiceConfig withConcurrentIndex(ServiceConfig Config) {
-  if (Config.ConcurrentIndex)
-    Config.Pipeline.Dedup.Index.Concurrent = true;
-  return Config;
-}
-
-} // namespace
-
 VolumeService::VolumeService(const Platform &Plat,
                              const ServiceConfig &Config)
-    : Config(withConcurrentIndex(Config)),
-      Pipeline(Plat, this->Config.Pipeline),
+    : Config(Config), Pipeline(Plat, Config.Pipeline),
       Tracker(std::make_shared<ChunkRefTracker>()) {
   obs::MetricsRegistry *Metrics = Config.Pipeline.Metrics;
   if (!Metrics)

@@ -84,13 +84,6 @@ struct ServiceConfig {
   std::uint64_t ProbePeriodRounds = 8;
   /// Run length of the deferred-dedup background sweeps.
   std::uint64_t SweepRunBlocks = 64;
-  /// Convenience switch for the lock-free concurrent index
-  /// (index/ConcurrentBinIndex.h): sets
-  /// Pipeline.Dedup.Index.Concurrent before the pipeline is built, so
-  /// service callers opt in without reaching three configs deep.
-  /// Observationally equivalent to the serial index on the service's
-  /// single-threaded dispatch loop (tests/test_service.cpp).
-  bool ConcurrentIndex = false;
   /// Coalesced dispatch: each fair-share round's inline runs are
   /// ingested as ONE combined pipeline write
   /// (ReductionPipeline::writeV), so batches span runs and fill the

@@ -48,10 +48,7 @@ bool isValidCostModel(const CostModel &Model) {
   for (double Value : Values)
     if (!std::isfinite(Value) || Value <= 0.0)
       return false;
-  return Model.Cpu.Threads > 0 && Model.Cpu.HashBatchWidth > 0 &&
-         std::isfinite(Model.Cpu.HashBatchLaneOverhead) &&
-         Model.Cpu.HashBatchLaneOverhead >= 0.0 &&
-         Model.Gpu.DedupBatchChunks > 0 &&
+  return Model.Cpu.Threads > 0 && Model.Gpu.DedupBatchChunks > 0 &&
          Model.Gpu.CompressBatchChunks > 0 &&
          Model.Gpu.DecompressBatchChunks > 0 &&
          Model.Gpu.MixedKernelPenalty >= 1.0;

@@ -39,19 +39,6 @@ struct CpuCosts {
   double ChunkingPerByteNs = 0.05;
   /// SHA-1 fingerprinting (≈ 330 MB/s per thread on the paper's CPU).
   double HashPerByteNs = 3.05;
-  /// Multi-buffer (SIMD) SHA-1 lanes per batched hash call. The batch
-  /// runs W independent block chains in lockstep (hash/Sha1Batch.h), so
-  /// a lane group costs roughly one chunk's serial time instead of W —
-  /// the per-chunk cost divides by ~W. Width 1 is exactly the serial
-  /// path (cpuHashBatchUs reduces bit-for-bit to cpuHashUs).
-  unsigned HashBatchWidth = 1;
-  /// Per-extra-lane overhead of the multi-buffer kernel, as a fraction
-  /// of the group's lockstep time: transposing message words into lane
-  /// order and the widest lane gating the group. An 8-lane group costs
-  /// maxLaneBytes x HashPerByteNs x (1 + 7 x this) — ≈ 7x speedup at
-  /// width 8, matching measured multi-buffer SHA-1 kernels rather than
-  /// the ideal 8x.
-  double HashBatchLaneOverhead = 0.02;
   /// One bin probe in the steady-state pipeline (random bin, cold
   /// caches: buffer scan miss followed by a tree descent with DRAM
   /// misses).
@@ -241,18 +228,6 @@ struct CostModel {
   /// CPU SHA-1 cost for \p Bytes input bytes, in microseconds.
   double cpuHashUs(std::size_t Bytes) const {
     return Cpu.HashPerByteNs * 1e-3 * static_cast<double>(Bytes);
-  }
-
-  /// CPU multi-buffer SHA-1 cost for one lane group, in microseconds.
-  /// \p MaxLaneBytes is the longest lane's length (lockstep: the group
-  /// runs until its widest lane finishes) and \p Lanes the group's
-  /// actual width — the tail group of a batch may be narrower than
-  /// Cpu.HashBatchWidth. At Lanes == 1 the factor is exactly 1.0, so a
-  /// width-1 batch charges bit-identically to cpuHashUs.
-  double cpuHashBatchUs(std::size_t MaxLaneBytes, unsigned Lanes) const {
-    return cpuHashUs(MaxLaneBytes) *
-           (1.0 + Cpu.HashBatchLaneOverhead *
-                      static_cast<double>(Lanes - 1));
   }
 
   /// GPU SHA-1 cost for \p Bytes input bytes (exclusive of launch and

@@ -13,7 +13,7 @@
 /// is overwritten with `PoisonByte`), so a stale reference held across
 /// a reset reads an obviously-wrong pattern instead of silently
 /// aliasing the next batch's data — the allocator-poisoning tests in
-/// tests/test_util.cpp and tests/test_hotpath.cpp assert exactly this
+/// tests/test_util.cpp and tests/test_pipeline.cpp assert exactly this
 /// (no stale chunk refs can leak into recipes).
 ///
 /// The arena is single-owner: one pipeline/engine instance resets it

@@ -9,11 +9,11 @@
 /// outcomes would produce in the dedup engine.
 ///
 /// The harness is how "observationally equivalent to DedupIndex" is
-/// made a checkable property instead of a comment: test_hotpath drives
-/// it with the concurrent index as candidate, test_index with the
-/// prefix-sharded composite, and test_service with the service-layer
-/// index configuration. Any divergence fails with the op number via
-/// SCOPED_TRACE, so a shrinking seed hunt is a one-line loop.
+/// made a checkable property instead of a comment: test_index drives
+/// it with the prefix-sharded composite as candidate, across shard
+/// counts, bounded bins and GPU-resolved batches. Any divergence fails
+/// with the op number via SCOPED_TRACE, so a shrinking seed hunt is a
+/// one-line loop.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -144,8 +144,7 @@ inline void expectSameFlushes(const std::vector<FlushEvent> &Expected,
 }
 
 /// Diffs every cumulative counter and occupancy total two indexes
-/// expose. Epoch/CasRetries are deliberately excluded — they are
-/// implementation-progress signals, not semantics.
+/// expose.
 inline void expectSameTotals(const FingerprintIndex &Oracle,
                              const FingerprintIndex &Candidate) {
   EXPECT_EQ(Oracle.bufferHits(), Candidate.bufferHits());

@@ -15,6 +15,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <set>
 #include <string>
@@ -169,8 +170,8 @@ TEST_P(CdcTest, ShiftResistance) {
   // Inserting bytes at the front must leave most downstream chunk
   // boundaries intact — the property fixed-size chunking lacks.
   const ByteVector Data = randomData(512 * 1024, 7);
-  ByteVector Shifted(17, 0xEE);
-  Shifted.insert(Shifted.end(), Data.begin(), Data.end());
+  ByteVector Shifted(17 + Data.size(), 0xEE);
+  std::copy(Data.begin(), Data.end(), Shifted.begin() + 17);
 
   const auto Chunker = makeChunker();
   std::vector<ChunkView> Original, Moved;

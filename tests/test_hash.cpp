@@ -1,8 +1,8 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Unit tests for the hash module: SHA-1 / SHA-256 against official
-/// test vectors, CRC-32C check values, FNV-1a, and the fingerprint
+/// Unit tests for the hash module: SHA-1 against official test
+/// vectors, CRC-32C check values, FNV-1a, and the fingerprint
 /// bin/prefix arithmetic the dedup index relies on.
 ///
 //===----------------------------------------------------------------------===//
@@ -11,8 +11,6 @@
 #include "hash/Fingerprint.h"
 #include "hash/Fnv.h"
 #include "hash/Sha1.h"
-#include "hash/Sha1Batch.h"
-#include "hash/Sha256.h"
 #include "util/Random.h"
 
 #include <gtest/gtest.h>
@@ -92,43 +90,6 @@ TEST(Sha1, PaddingBoundaryLengths) {
   for (std::size_t I = 0; I < Digests.size(); ++I)
     for (std::size_t J = I + 1; J < Digests.size(); ++J)
       EXPECT_NE(Digests[I], Digests[J]);
-}
-
-//===----------------------------------------------------------------------===//
-// SHA-256 (FIPS 180-2 vectors)
-//===----------------------------------------------------------------------===//
-
-TEST(Sha256, EmptyString) {
-  EXPECT_EQ(
-      toHex(ByteSpan(Sha256::digest(bytesOf("")).data(), 32)),
-      "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855");
-}
-
-TEST(Sha256, Abc) {
-  EXPECT_EQ(
-      toHex(ByteSpan(Sha256::digest(bytesOf("abc")).data(), 32)),
-      "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad");
-}
-
-TEST(Sha256, TwoBlockMessage) {
-  EXPECT_EQ(
-      toHex(ByteSpan(
-          Sha256::digest(bytesOf(
-                             "abcdbcdecdefdefgefghfghighijhijkijkljklmklmn"
-                             "lmnomnopnopq"))
-              .data(),
-          32)),
-      "248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1");
-}
-
-TEST(Sha256, MillionAs) {
-  Sha256 Context;
-  const ByteVector Block(1000, 'a');
-  for (int I = 0; I < 1000; ++I)
-    Context.update(ByteSpan(Block.data(), Block.size()));
-  EXPECT_EQ(
-      toHex(ByteSpan(Context.final().data(), 32)),
-      "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0");
 }
 
 //===----------------------------------------------------------------------===//
@@ -228,89 +189,4 @@ TEST(FingerprintHash, DistinctForDistinctDigests) {
   FingerprintHash Hasher;
   EXPECT_NE(Hasher(Fingerprint::ofData(bytesOf("x"))),
             Hasher(Fingerprint::ofData(bytesOf("y"))));
-}
-
-//===----------------------------------------------------------------------===//
-// Sha1Batch: multi-buffer lanes vs the serial reference
-//===----------------------------------------------------------------------===//
-
-namespace {
-
-// Messages with deliberately awkward lengths: empty, sub-block,
-// exactly one block, just over, multi-block, and a large odd size —
-// so lanes in one group retire at different rounds (tail divergence).
-std::vector<ByteVector> batchMessages(std::size_t Count,
-                                      std::uint64_t Seed) {
-  static constexpr std::size_t Shapes[] = {0,  1,  55,  56,  63, 64,
-                                           65, 127, 128, 1000, 4096, 4097};
-  Random Rng(Seed);
-  std::vector<ByteVector> Messages(Count);
-  for (std::size_t I = 0; I < Count; ++I) {
-    const std::size_t Size =
-        Shapes[I % (sizeof(Shapes) / sizeof(Shapes[0]))] + (I / 12) * 37;
-    Messages[I].resize(Size);
-    Rng.fillBytes(Messages[I].data(), Size);
-  }
-  return Messages;
-}
-
-} // namespace
-
-TEST(Sha1Batch, WidthTimesBatchSweepMatchesSerial) {
-  // Satellite requirement: widths {1,2,4,8} x batch sizes {1..17},
-  // digests bit-identical to Sha1::digest — including every tail case
-  // (e.g. 5 chunks at width 4 = one full group + one group of 1).
-  for (const unsigned Width : {1u, 2u, 4u, 8u}) {
-    const Sha1Batch Batch(Width);
-    EXPECT_EQ(Batch.width(), Width);
-    for (std::size_t Size = 1; Size <= 17; ++Size) {
-      SCOPED_TRACE("width " + std::to_string(Width) + " batch " +
-                   std::to_string(Size));
-      const std::vector<ByteVector> Messages =
-          batchMessages(Size, 0x51A1 + Width * 131 + Size);
-      std::vector<ByteSpan> Inputs;
-      for (const ByteVector &Message : Messages)
-        Inputs.emplace_back(Message.data(), Message.size());
-      std::vector<Sha1::Digest> Digests(Size);
-      Batch.digestMany(Inputs, Digests);
-      for (std::size_t I = 0; I < Size; ++I)
-        EXPECT_EQ(Digests[I], Sha1::digest(Inputs[I]))
-            << "lane " << I << " of " << Size;
-    }
-  }
-}
-
-TEST(Sha1Batch, KnownVectorsThroughEveryLanePosition) {
-  // The RFC 3174 vectors must come out of every lane of a full-width
-  // group, not just lane 0.
-  const ByteSpan Abc = bytesOf("abc");
-  std::vector<ByteSpan> Inputs(Sha1Batch::MaxWidth, Abc);
-  std::vector<Sha1::Digest> Digests(Inputs.size());
-  Sha1Batch::digestGroup(Inputs, Digests);
-  const Sha1::Digest Expected = Sha1::digest(Abc);
-  for (std::size_t I = 0; I < Digests.size(); ++I)
-    EXPECT_EQ(Digests[I], Expected) << "lane " << I;
-}
-
-TEST(Sha1Batch, TailDivergenceShortAndLongLanesInterleaved) {
-  // One group where lane lengths differ by orders of magnitude: the
-  // short lanes retire after round 0 while the long lane keeps
-  // consuming blocks. Ordering of retirements must not corrupt chains.
-  std::vector<ByteVector> Messages;
-  Messages.push_back(ByteVector());            // empty
-  Messages.push_back(ByteVector(10000, 0xAB)); // ~157 blocks
-  Messages.push_back(ByteVector(64, 0x01));    // exactly one block
-  Messages.push_back(ByteVector(65, 0x02));    // one block + 1 byte
-  std::vector<ByteSpan> Inputs;
-  for (const ByteVector &Message : Messages)
-    Inputs.emplace_back(Message.data(), Message.size());
-  std::vector<Sha1::Digest> Digests(Inputs.size());
-  Sha1Batch::digestGroup(Inputs, Digests);
-  for (std::size_t I = 0; I < Inputs.size(); ++I)
-    EXPECT_EQ(Digests[I], Sha1::digest(Inputs[I])) << "lane " << I;
-}
-
-TEST(Sha1Batch, WidthClampedToValidRange) {
-  EXPECT_EQ(Sha1Batch(0).width(), 1u);
-  EXPECT_EQ(Sha1Batch(100).width(), Sha1Batch::MaxWidth);
 }

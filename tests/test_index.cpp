@@ -2,8 +2,9 @@
 ///
 /// \file
 /// Tests for the index module: bin layout arithmetic (prefix removal),
-/// bin buffer semantics, bin tree merge/eviction, GPU bin table, and
-/// the lock-free batch facade including flush events.
+/// bin buffer semantics, bin tree merge/eviction, GPU bin table, the
+/// lock-free batch facade including flush events, and oracle replays of
+/// the prefix-sharded composite against the plain index.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -539,9 +540,8 @@ TEST_F(IndexFixture, MemoryBoundedIndexMissesSomeDuplicates) {
 //===----------------------------------------------------------------------===//
 
 TEST(ShardedOracle, CompositeMatchesPlainIndexUnderRandomOps) {
-  // The same OracleCheck harness the hotpath suite drives against the
-  // concurrent index, applied to the sequential sharded composite:
-  // shard count must be a pure layout decision.
+  // The OracleCheck harness applied to the sequential sharded
+  // composite: shard count must be a pure layout decision.
   DedupIndexConfig Serial;
   Serial.BinBits = 8;
   Serial.BufferCapacityPerBin = 4;
@@ -567,4 +567,66 @@ TEST(ShardedOracle, BoundedCompositeEvictsIdentically) {
   const std::vector<oracle::IndexOp> Ops =
       oracle::randomOps(Rng, 200, /*Universe=*/2048, /*MaxBatch=*/24);
   oracle::replayConfigsAndCompare(Serial, Sharded, Ops);
+}
+
+namespace {
+
+DedupIndexConfig oracleConfig(unsigned Shards, unsigned BinBits = 8,
+                              std::size_t BufferCap = 4,
+                              std::size_t MaxPerBin = 0) {
+  DedupIndexConfig Config;
+  Config.BinBits = BinBits;
+  Config.BufferCapacityPerBin = BufferCap;
+  Config.MaxEntriesPerBin = MaxPerBin;
+  Config.Shards = Shards;
+  return Config;
+}
+
+} // namespace
+
+// The same replay swept over shard counts, including the op mixes the
+// ShardedOracle cases above leave out: GPU-resolved batch items (the
+// composite must slice KnownDuplicate along with each shard's items)
+// and a bin space so small that every shard owns a single bin.
+class OracleShardTest : public ::testing::TestWithParam<unsigned> {};
+
+TEST_P(OracleShardTest, UnboundedRandomOps) {
+  Random Rng(0xC0FFEE ^ GetParam());
+  const std::vector<oracle::IndexOp> Ops =
+      oracle::randomOps(Rng, 300, /*Universe=*/512);
+  oracle::replayConfigsAndCompare(oracleConfig(1), oracleConfig(GetParam()),
+                                  Ops);
+}
+
+TEST_P(OracleShardTest, BoundedEvictionParity) {
+  // Tiny bins + a hard per-bin cap: drains and random-replacement
+  // evictions dominate. Victim identities must replay the serial
+  // per-bin Rng stream bit-for-bit.
+  Random Rng(0xBADBEEF ^ GetParam());
+  const std::vector<oracle::IndexOp> Ops =
+      oracle::randomOps(Rng, 250, /*Universe=*/4096, /*MaxBatch=*/32);
+  oracle::replayConfigsAndCompare(oracleConfig(1, 6, 2, 4),
+                                  oracleConfig(GetParam(), 6, 2, 4), Ops);
+}
+
+TEST_P(OracleShardTest, GpuResolvedBatches) {
+  Random Rng(0x6B75 ^ GetParam());
+  const std::vector<oracle::IndexOp> Ops = oracle::randomOps(
+      Rng, 200, /*Universe=*/512, /*MaxBatch=*/48, /*WithKnown=*/true);
+  oracle::replayConfigsAndCompare(oracleConfig(1), oracleConfig(GetParam()),
+                                  Ops);
+}
+
+INSTANTIATE_TEST_SUITE_P(ShardCounts, OracleShardTest,
+                         ::testing::Values(1u, 2u, 4u, 8u));
+
+TEST(OracleEquivalence, SingleBinPathologicalStream) {
+  // BinBits=1 keeps two bins, one per shard: maximal drain pressure and
+  // the deepest buffer scans. Identities are drawn small so collisions
+  // recur fast.
+  Random Rng(7);
+  const std::vector<oracle::IndexOp> Ops =
+      oracle::randomOps(Rng, 200, /*Universe=*/64, /*MaxBatch=*/16);
+  oracle::replayConfigsAndCompare(oracleConfig(1, 1, 2, 8),
+                                  oracleConfig(2, 1, 2, 8), Ops);
 }

@@ -3,8 +3,8 @@
 /// \file
 /// Integration tests for the reduction pipeline: end-to-end write /
 /// read-back verification in every integration mode, reduction-ratio
-/// accounting, single-operation configurations, warmup reset, and
-/// endurance bookkeeping.
+/// accounting, single-operation configurations, warmup reset,
+/// endurance bookkeeping, and per-batch arena reuse.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -13,7 +13,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
+#include <vector>
 
 using namespace padre;
 
@@ -372,8 +374,9 @@ TEST_P(CdcPipeline, RoundTripsWithVariableChunks) {
   Pipeline.finish();
   EXPECT_TRUE(Pipeline.verifyAgainst(ByteSpan(Data.data(), Data.size())));
   // Variable chunks: counts differ from the fixed-size block count.
-  if (GetParam() != ChunkingMode::Fixed)
+  if (GetParam() != ChunkingMode::Fixed) {
     EXPECT_NE(Pipeline.report().LogicalChunks, Data.size() / 4096);
+  }
 }
 
 TEST_P(CdcPipeline, CdcSurvivesAByteShiftFixedDoesNot) {
@@ -382,8 +385,8 @@ TEST_P(CdcPipeline, CdcSurvivesAByteShiftFixedDoesNot) {
   // almost every chunk; fixed-size chunking finds none.
   WorkloadConfig Load = workload(1 << 20, 1.0, 2.0);
   const ByteVector Original = VdbenchStream(Load).generateAll();
-  ByteVector Shifted(100, 0xEE);
-  Shifted.insert(Shifted.end(), Original.begin(), Original.end());
+  ByteVector Shifted(100 + Original.size(), 0xEE);
+  std::copy(Original.begin(), Original.end(), Shifted.begin() + 100);
 
   PipelineConfig Config = pipelineConfig(PipelineMode::CpuOnly);
   Config.Chunking = GetParam();
@@ -432,5 +435,40 @@ TEST(Pipeline, NoGpuPlatformRunsCpuOnly) {
   Pipeline.write(ByteSpan(Data.data(), Data.size()));
   Pipeline.finish();
   EXPECT_EQ(Pipeline.report().GpuBusySec, 0.0);
+  EXPECT_TRUE(Pipeline.verifyAgainst(ByteSpan(Data.data(), Data.size())));
+}
+
+//===----------------------------------------------------------------------===//
+// Per-batch arena reuse
+//===----------------------------------------------------------------------===//
+
+TEST(ArenaHotpath, RecipeStableAcrossArenaReuse) {
+  // Many small writes => many processBatch calls => many resets of both
+  // the dedup engine's arena and the sharded composite's batch scratch.
+  // Recipe entries recorded in earlier batches must be bit-stable (no
+  // stale arena-backed refs), and the reassembled stream must verify.
+  const ByteVector Data =
+      VdbenchStream(workload(1 << 20, 2.0, 2.0, /*Seed=*/99)).generateAll();
+  PipelineConfig Config;
+  Config.Dedup.Index.BinBits = 8;
+  Config.Dedup.Index.Shards = 4;
+  Config.BatchChunks = 16; // small batches -> frequent resets
+  ReductionPipeline Pipeline(Platform::paper(), Config);
+
+  const std::size_t Step = 64 * 1024;
+  std::vector<std::uint64_t> AfterFirst;
+  for (std::size_t Offset = 0; Offset < Data.size(); Offset += Step) {
+    const std::size_t Length = std::min(Step, Data.size() - Offset);
+    Pipeline.write(ByteSpan(Data.data() + Offset, Length));
+    if (Offset == 0) {
+      AfterFirst = Pipeline.recipe().ChunkLocations;
+      continue;
+    }
+    // The first write's entries are untouched by later batches.
+    ASSERT_GE(Pipeline.recipe().ChunkLocations.size(), AfterFirst.size());
+    for (std::size_t I = 0; I < AfterFirst.size(); ++I)
+      ASSERT_EQ(Pipeline.recipe().ChunkLocations[I], AfterFirst[I]);
+  }
+  Pipeline.finish();
   EXPECT_TRUE(Pipeline.verifyAgainst(ByteSpan(Data.data(), Data.size())));
 }

@@ -122,8 +122,9 @@ TEST(SchedDepthSweep, WallTimeMonotoneNonIncreasing) {
       SCOPED_TRACE(std::string(pipelineModeName(Mode)) + " depth " +
                    std::to_string(Depth));
       EXPECT_GT(Result.WallUs, 0.0);
-      if (Depth > 1)
+      if (Depth > 1) {
         EXPECT_LE(Result.WallUs, PrevWallUs + 1e-6);
+      }
       // The wall can never undercut any single lane's occupancy.
       for (unsigned R = 0; R < ResourceCount; ++R)
         EXPECT_GE(Result.WallUs + 1e-6, Result.SchedUs[R]);
@@ -245,9 +246,10 @@ void runFaultDrain(const char *PlanSpec, bool VerifyWhenOk = true) {
     const fault::Status FinishStatus = Pipeline.finish();
     // Recovered or not, no batch may be left mid-window.
     EXPECT_EQ(Pipeline.scheduler().inFlight(), 0u) << "depth " << Depth;
-    if (VerifyWhenOk && WriteStatus.ok() && FinishStatus.ok())
+    if (VerifyWhenOk && WriteStatus.ok() && FinishStatus.ok()) {
       EXPECT_TRUE(Pipeline.verifyAgainst(ByteSpan(Data.data(), Data.size())))
           << "depth " << Depth;
+    }
   }
 }
 

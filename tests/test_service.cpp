@@ -9,14 +9,16 @@
 ///
 //===----------------------------------------------------------------------===//
 
-#include "OracleCheck.h"
-
 #include "fault/FaultInjector.h"
 #include "service/VolumeService.h"
 #include "workload/Trace.h"
 #include "workload/VdbenchStream.h"
 
 #include <gtest/gtest.h>
+
+#include <string>
+#include <tuple>
+#include <vector>
 
 using namespace padre;
 
@@ -472,58 +474,4 @@ TEST(ServiceFaults, FaultPlanDrainRecoversAndStaysBitExact) {
   ASSERT_TRUE(ReadA && ReadB);
   EXPECT_EQ(*ReadA, DataA);
   EXPECT_EQ(*ReadB, DataB);
-}
-
-//===----------------------------------------------------------------------===//
-// Concurrent-index opt-in: bit parity through the whole service stack
-//===----------------------------------------------------------------------===//
-
-// ServiceConfig::ConcurrentIndex swaps the lock-free index under the
-// entire multi-tenant stack; every observable — recipes, per-lane
-// ledger charges, stored bytes, tenant stats — must be bit-identical
-// to the serial index.
-TEST(ServiceConcurrentIndex, BitIdenticalToSerialIncludingLedger) {
-  auto Run = [](bool Concurrent, unsigned Shards) {
-    ServiceConfig Config = baseService(Shards);
-    Config.ConcurrentIndex = Concurrent;
-    VolumeService Service(Platform::paper(), Config);
-    const auto A = Service.addTenant("a", TenantConfig{128});
-    const auto B = Service.addTenant("b", TenantConfig{128});
-    const ByteVector Shared = runOf(100, 8);
-    const ByteSpan SharedSpan(Shared.data(), Shared.size());
-    EXPECT_TRUE(Service.submitWrite(A, 0, SharedSpan));
-    EXPECT_TRUE(Service.submitWrite(B, 4, SharedSpan));
-    const ByteVector Own = runOf(700, 12);
-    EXPECT_TRUE(Service.submitWrite(B, 32, ByteSpan(Own.data(), Own.size())));
-    Service.finish();
-    return std::make_tuple(Service.pipeline().recipe().ChunkLocations,
-                           laneBusy(Service.pipeline()),
-                           Service.pipeline().report().StoredBytes,
-                           Service.tenantStats(A).AdmittedBytes,
-                           Service.readBlocks(B, 4, 8));
-  };
-  const auto Reference = Run(false, 1);
-  for (unsigned Shards : {1u, 4u}) {
-    SCOPED_TRACE("shards " + std::to_string(Shards));
-    const auto Concurrent = Run(true, Shards);
-    EXPECT_EQ(std::get<0>(Concurrent), std::get<0>(Reference));
-    EXPECT_EQ(std::get<1>(Concurrent), std::get<1>(Reference));
-    EXPECT_EQ(std::get<2>(Concurrent), std::get<2>(Reference));
-    EXPECT_EQ(std::get<3>(Concurrent), std::get<3>(Reference));
-    EXPECT_EQ(std::get<4>(Concurrent), std::get<4>(Reference));
-  }
-}
-
-// The harness the hotpath suite uses, pointed at the exact index
-// configuration the service layer builds (BinBits=8, budgeted
-// removals included via the op mix's Remove share).
-TEST(ServiceConcurrentIndex, OracleReplayOnServiceIndexConfig) {
-  const DedupIndexConfig Serial = basePipeline().Dedup.Index;
-  DedupIndexConfig Concurrent = Serial;
-  Concurrent.Concurrent = true;
-  Concurrent.Shards = 4;
-  Random Rng(0x5EC1);
-  const std::vector<oracle::IndexOp> Ops =
-      oracle::randomOps(Rng, 250, /*Universe=*/1024);
-  oracle::replayConfigsAndCompare(Serial, Concurrent, Ops);
 }

@@ -131,10 +131,11 @@ INSTANTIATE_TEST_SUITE_P(
                       std::make_tuple(2.0, 4.0), std::make_tuple(4.0, 2.0),
                       std::make_tuple(3.0, 1.5)),
     [](const ::testing::TestParamInfo<RatioSweep::ParamType> &Info) {
-      return "d" +
-             std::to_string(static_cast<int>(std::get<0>(Info.param) * 10)) +
-             "_c" +
-             std::to_string(static_cast<int>(std::get<1>(Info.param) * 10));
+      std::string Name = "d";
+      Name += std::to_string(static_cast<int>(std::get<0>(Info.param) * 10));
+      Name += "_c";
+      Name += std::to_string(static_cast<int>(std::get<1>(Info.param) * 10));
+      return Name;
     });
 
 TEST(VdbenchStream, RatioOneMeansNoDuplicates) {
@@ -359,7 +360,9 @@ TEST(Scenario, UniqueContentModeNeverRepeatsATag) {
   Config.ContentTags = 0; // unique-content mode
   const TraceLog Log = synthesizeScenario(Config);
   std::map<std::uint64_t, int> Seen;
-  for (const TraceRecord &R : Log.Records)
-    if (R.Op == TraceOp::Write)
+  for (const TraceRecord &R : Log.Records) {
+    if (R.Op == TraceOp::Write) {
       EXPECT_EQ(++Seen[R.ContentTag], 1) << "tag " << R.ContentTag;
+    }
+  }
 }
