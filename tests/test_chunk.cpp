@@ -99,6 +99,10 @@ struct CdcCase {
   std::size_t Min, Avg, Max;
 };
 
+// Without this gtest prints the raw bytes of CdcCase, Name's address
+// included, into each discovered test name, so names changed per run.
+void PrintTo(const CdcCase &Case, std::ostream *OS) { *OS << Case.Name; }
+
 class CdcTest : public ::testing::TestWithParam<std::tuple<int, CdcCase>> {
 protected:
   std::unique_ptr<Chunker> makeChunker() const {
