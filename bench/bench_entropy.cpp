@@ -55,8 +55,8 @@ int main() {
 
   std::printf("\nexpected shape: the entropy stage never stores more "
               "bytes and costs\nthroughput on the CPU path; on the GPU "
-              "path the Huffman pass joins the\nCPU post-processing, so "
-              "the throughput cost appears only once the CPU\nbecomes "
-              "the bottleneck.\n");
+              "path every block is framed (one\nsub-block per lane) and "
+              "the stage is skipped — a Huffman wrap would hide the\n"
+              "frame — so both columns match.\n");
   return 0;
 }

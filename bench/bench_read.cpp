@@ -5,12 +5,10 @@
 /// pipeline is write-only, but a primary system serves reads). Views:
 ///
 ///   1. the decode-mode batch-depth sweep — the read-side launch
-///      crossover, now three-way: the v1 lane kernel loses to the
-///      8-thread CPU pool at shallow depths (LaunchUs dominates) and
-///      crosses over near depth ~100, while the v2 warp kernel over
-///      framed sub-blocks amortizes the launch into a persistent-kernel
-///      doorbell and is expected to beat the CPU pool at *every* depth
-///      — killing the crossover. The Auto probe must pick the winner;
+///      crossover: the warp kernel over framed sub-blocks amortizes
+///      the launch into a persistent-kernel doorbell and is expected
+///      to beat the 8-thread CPU pool at *every* depth, shallow ones
+///      included. The Auto probe must pick the winner;
 ///   2. the sub-block ratio sweep — what the framed format costs in
 ///      compression ratio at counts {1,2,4,8};
 ///   3. a fault-plan replay — warp dispatches dying mid-run must evict
@@ -99,11 +97,10 @@ ByteVector benchStream(bool Smoke) {
   return VdbenchStream(Load).generateAll();
 }
 
-/// One depth row of the three-way decode sweep.
+/// One depth row of the decode-mode sweep.
 struct DepthRow {
   std::size_t Depth = 0;
   double CpuKiops = 0.0;
-  double LaneKiops = 0.0;
   double WarpKiops = 0.0;
   const char *ProbePick = "";
   bool BitIdentical = false;
@@ -128,9 +125,9 @@ bool writeJson(const char *Path, const std::vector<DepthRow> &Depths,
     const DepthRow &R = Depths[I];
     std::fprintf(File,
                  "    {\"depth\": %zu, \"cpu_kiops\": %.2f, "
-                 "\"lane_kiops\": %.2f, \"warp_kiops\": %.2f, "
-                 "\"probe\": \"%s\", \"bit_identical\": %s}%s\n",
-                 R.Depth, R.CpuKiops, R.LaneKiops, R.WarpKiops, R.ProbePick,
+                 "\"warp_kiops\": %.2f, \"probe\": \"%s\", "
+                 "\"bit_identical\": %s}%s\n",
+                 R.Depth, R.CpuKiops, R.WarpKiops, R.ProbePick,
                  R.BitIdentical ? "true" : "false",
                  I + 1 < Depths.size() ? "," : "");
   }
@@ -164,17 +161,14 @@ int main(int Argc, char **Argv) {
   const ByteVector Data = benchStream(Smoke);
 
   //===------------------------------------------------------------===//
-  // 1. Three-way decode batch-depth sweep (no cache: decode vs decode).
-  //    CPU and warp read the framed store; the v1 lane kernel reads the
-  //    unframed store (it cannot decode framed payloads — that
-  //    asymmetry is decode v2's point, not an unfairness: each decoder
-  //    gets the format it was designed for, same logical bytes).
+  // 1. Decode batch-depth sweep (no cache: decode vs decode). CPU and
+  //    warp read the same framed store.
   //===------------------------------------------------------------===//
   std::printf("decode batch-depth sweep (cold reads, no cache, comp 2.0; "
               "decode-limited\nKIOPS = chunks / busiest compute lane — "
               "end-to-end reads are flash-bound):\n");
-  std::printf("%8s %12s %12s %12s %10s %8s %6s\n", "depth", "cpu (K)",
-              "lane (K)", "warp (K)", "warp/cpu", "probe", "bits");
+  std::printf("%8s %12s %12s %10s %8s %6s\n", "depth", "cpu (K)",
+              "warp (K)", "warp/cpu", "probe", "bits");
   const auto Unframed = writtenPipeline(0, Data, 1);
   const auto Framed = writtenPipeline(0, Data, 4);
   std::vector<DepthRow> Depths;
@@ -187,34 +181,27 @@ int main(int Argc, char **Argv) {
     Config.BatchDepth = Depth;
     DepthRow Row;
     Row.Depth = Depth;
-    ByteVector CpuBytes, LaneBytes, WarpBytes;
+    ByteVector CpuBytes, WarpBytes;
     Config.Mode = DecodeMode::Cpu;
     const ReadReport Cpu = restorePass(*Framed, Config, &CpuBytes);
-    Config.Mode = DecodeMode::Gpu;
-    const ReadReport Lane = restorePass(*Unframed, Config, &LaneBytes);
     Config.Mode = DecodeMode::WarpGpu;
     const ReadReport Warp = restorePass(*Framed, Config, &WarpBytes);
     Config.Mode = DecodeMode::Auto;
     const ReadPipeline Probe(*Framed, Config);
     Row.CpuKiops =
         static_cast<double>(Cpu.ChunksRequested) / decodeSec(Cpu) / 1e3;
-    Row.LaneKiops =
-        static_cast<double>(Lane.ChunksRequested) / decodeSec(Lane) / 1e3;
     Row.WarpKiops =
         static_cast<double>(Warp.ChunksRequested) / decodeSec(Warp) / 1e3;
     Row.ProbePick = decodeModeName(Probe.effectiveMode());
-    Row.BitIdentical =
-        CpuBytes == Data && LaneBytes == Data && WarpBytes == Data;
+    Row.BitIdentical = CpuBytes == Data && WarpBytes == Data;
     Depths.push_back(Row);
-    std::printf("%8zu %12.1f %12.1f %12.1f %10.2f %8s %6s\n", Depth,
-                Row.CpuKiops, Row.LaneKiops, Row.WarpKiops,
-                Row.WarpKiops / Row.CpuKiops, Row.ProbePick,
+    std::printf("%8zu %12.1f %12.1f %10.2f %8s %6s\n", Depth, Row.CpuKiops,
+                Row.WarpKiops, Row.WarpKiops / Row.CpuKiops, Row.ProbePick,
                 Row.BitIdentical ? "ok" : "DIFF");
   }
-  std::printf("expected shape: cpu flat; lane climbs with depth (LaunchUs "
-              "amortized), crossing\ncpu near depth ~100; warp above cpu "
-              "at every depth (doorbell, not launch) —\nthe crossover is "
-              "gone and the probe picks warp throughout.\n");
+  std::printf("expected shape: cpu flat; warp above cpu at every depth "
+              "(doorbell, not launch)\n— no crossover, and the probe "
+              "picks warp throughout.\n");
 
   //===------------------------------------------------------------===//
   // 2. Sub-block ratio sweep: what the framed format costs. History
@@ -384,14 +371,14 @@ int main(int Argc, char **Argv) {
   std::printf("bit-identity: all modes, depths, sub-block counts and the "
               "fault replay\n");
 
-  // Gate 2 (E11): the tentpole's headline — warp-GPU decode beats the
-  // CPU pool at batch depth <= 16, where the v1 lane kernel loses. The
+  // Gate 2 (E11): the headline — warp-GPU decode beats the CPU pool at
+  // batch depth <= 16, where a per-batch launch would lose. The
   // crossover is dead.
   for (const DepthRow &R : Depths) {
     if (R.Depth > 16)
       continue;
-    std::printf("depth %zu: warp %.1fK vs cpu %.1fK (lane %.1fK)\n",
-                R.Depth, R.WarpKiops, R.CpuKiops, R.LaneKiops);
+    std::printf("depth %zu: warp %.1fK vs cpu %.1fK\n", R.Depth,
+                R.WarpKiops, R.CpuKiops);
     if (R.WarpKiops <= R.CpuKiops) {
       std::fprintf(stderr,
                    "FAIL: warp decode does not beat the CPU pool at "

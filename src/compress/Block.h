@@ -33,7 +33,7 @@ enum class BlockMethod : std::uint8_t {
   Raw = 0,     ///< payload is the original bytes
   Lz77 = 1,    ///< token stream from the hash-chain matcher
   QuickLz = 2, ///< token stream from the single-probe matcher
-  GpuLane = 3, ///< token stream produced by GPU lanes + CPU refinement
+  GpuLane = 3, ///< legacy: unframed token stream from older GPU lanes
   LzHuff = 4,  ///< [u32 token bytes][Huffman-coded token stream]
   LzFramed = 5, ///< v2 sub-block frame (see compress/SubBlockFrame.h)
 };

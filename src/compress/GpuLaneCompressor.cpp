@@ -7,6 +7,8 @@
 
 #include "compress/GpuLaneCompressor.h"
 
+#include "compress/SubBlockFrame.h"
+
 #include <cassert>
 
 using namespace padre;
@@ -20,7 +22,8 @@ std::size_t LaneOutputs::totalPayloadBytes() const {
 
 GpuLaneCompressor::GpuLaneCompressor(GpuLaneConfig Config)
     : Config(Config), LaneCodec(LzCodec::MatcherKind::SingleProbe) {
-  assert(Config.Lanes >= 1 && "Need at least one lane");
+  assert(Config.Lanes >= 1 && Config.Lanes <= MaxSubBlocks &&
+         "Lane count outside the frame's sub-block range");
 }
 
 LaneOutputs GpuLaneCompressor::runLanes(ByteSpan Chunk) const {
@@ -28,21 +31,13 @@ LaneOutputs GpuLaneCompressor::runLanes(ByteSpan Chunk) const {
          "Chunk exceeds codec format limit");
   LaneOutputs Outputs;
   Outputs.ChunkSize = Chunk.size();
-  if (Chunk.empty())
-    return Outputs;
-
   const std::size_t LaneCount =
       std::min<std::size_t>(Config.Lanes, Chunk.size());
-  const std::size_t PerLane = (Chunk.size() + LaneCount - 1) / LaneCount;
   Outputs.LaneResults.reserve(LaneCount);
-  for (std::size_t Lane = 0; Lane < LaneCount; ++Lane) {
-    const std::size_t Begin = Lane * PerLane;
-    const std::size_t End = std::min(Chunk.size(), Begin + PerLane);
-    if (Begin >= End)
-      break;
-    Outputs.LaneResults.push_back(
-        LaneCodec.compressRange(Chunk, Begin, End, Config.HistoryBytes));
-  }
+  for (std::size_t Lane = 0; Lane < LaneCount; ++Lane)
+    Outputs.LaneResults.push_back(LaneCodec.compressRange(
+        Chunk, Chunk.size() * Lane / LaneCount,
+        Chunk.size() * (Lane + 1) / LaneCount, /*HistoryBytes=*/0));
   return Outputs;
 }
 
@@ -51,62 +46,38 @@ RefinedChunk GpuLaneCompressor::refine(const LaneOutputs &Outputs,
   assert(Outputs.ChunkSize == Chunk.size() &&
          "Lane outputs do not belong to this chunk");
   RefinedChunk Refined;
+  const auto Count = static_cast<unsigned>(Outputs.LaneResults.size());
+  for (const CompressResult &Lane : Outputs.LaneResults)
+    Refined.Stats.merge(Lane.Stats);
 
-  // Re-emit every lane's tokens into one stream, merging literal runs
-  // that straddle lane boundaries (each lane necessarily breaks its
-  // trailing run at the boundary; merged runs save control bytes).
-  ByteVector Merged;
-  ByteVector PendingLiterals;
-  auto FlushLiterals = [&Merged, &PendingLiterals, &Refined] {
-    std::size_t Offset = 0;
-    while (Offset < PendingLiterals.size()) {
-      const std::size_t Run = std::min(PendingLiterals.size() - Offset,
-                                       LzCodec::MaxLiteralRun);
-      Merged.push_back(static_cast<std::uint8_t>(Run - 1));
-      Merged.insert(Merged.end(), PendingLiterals.begin() + Offset,
-                    PendingLiterals.begin() + Offset + Run);
-      ++Refined.Stats.LiteralRuns;
-      Offset += Run;
-    }
-    PendingLiterals.clear();
-  };
-
-  for (const CompressResult &Lane : Outputs.LaneResults) {
-    const ByteVector &Payload = Lane.Payload;
-    Refined.Stats.LiteralBytes += Lane.Stats.LiteralBytes;
-    Refined.Stats.MatchBytes += Lane.Stats.MatchBytes;
-    Refined.Stats.Matches += Lane.Stats.Matches;
-    std::size_t In = 0;
-    while (In < Payload.size()) {
-      const std::uint8_t Control = Payload[In++];
-      if ((Control & 0x80) == 0) {
-        const std::size_t Run = static_cast<std::size_t>(Control) + 1;
-        assert(In + Run <= Payload.size() && "Corrupt lane payload");
-        PendingLiterals.insert(PendingLiterals.end(), Payload.begin() + In,
-                               Payload.begin() + In + Run);
-        In += Run;
-        continue;
-      }
-      FlushLiterals();
-      assert(In + 2 <= Payload.size() && "Corrupt lane payload");
-      Merged.push_back(Control);
-      Merged.push_back(Payload[In]);
-      Merged.push_back(Payload[In + 1]);
-      In += 2;
-    }
-  }
-  FlushLiterals();
-
-  // Fallback decision: the refined stream must beat raw storage.
-  if (Merged.size() >= Chunk.size()) {
+  // Fallback decision: the frame must beat raw storage. A lane stream
+  // too long for its u16 header entry implies a frame of at least a
+  // full-size chunk, so it always lands here.
+  const std::size_t FrameBytes =
+      subBlockHeaderSize(Count) + Outputs.totalPayloadBytes();
+  if (FrameBytes >= Chunk.size()) {
     Refined.StoredRaw = true;
     Refined.Block = encodeBlock(BlockMethod::Raw,
                                 static_cast<std::uint32_t>(Chunk.size()),
                                 Chunk);
     return Refined;
   }
-  Refined.Block = encodeBlock(BlockMethod::GpuLane,
+
+  std::uint32_t PayloadBytes[MaxSubBlocks];
+  std::uint32_t OutputBytes[MaxSubBlocks];
+  for (unsigned Lane = 0; Lane < Count; ++Lane) {
+    const CompressResult &Result = Outputs.LaneResults[Lane];
+    PayloadBytes[Lane] = static_cast<std::uint32_t>(Result.Payload.size());
+    OutputBytes[Lane] =
+        Result.Stats.LiteralBytes + Result.Stats.MatchBytes;
+  }
+  ByteVector Frame;
+  Frame.reserve(FrameBytes);
+  appendSubBlockHeader(Frame, Count, PayloadBytes, OutputBytes);
+  for (const CompressResult &Lane : Outputs.LaneResults)
+    Frame.insert(Frame.end(), Lane.Payload.begin(), Lane.Payload.end());
+  Refined.Block = encodeBlock(BlockMethod::LzFramed,
                               static_cast<std::uint32_t>(Chunk.size()),
-                              ByteSpan(Merged.data(), Merged.size()));
+                              ByteSpan(Frame.data(), Frame.size()));
   return Refined;
 }

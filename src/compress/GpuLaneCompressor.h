@@ -6,18 +6,21 @@
 /// Ozsoy et al.'s GPU LZ assumes large inputs; a 4 KiB chunk cannot
 /// occupy a GPU by itself, so the paper's design assigns *multiple
 /// device threads per chunk*: the chunk is split into lanes, every lane
-/// runs an LZ scan over its own segment with a history window that
-/// overlaps the previous lane's region, and many chunks are batched per
-/// kernel. The device output is "not refined in GPU due to performance
-/// issues" — the CPU post-processes it (§3.2(2): "It is called as
-/// post-processing").
+/// runs an LZ scan over its own segment, and many chunks are batched
+/// per kernel. The device output is "not refined in GPU due to
+/// performance issues" — the CPU post-processes it (§3.2(2): "It is
+/// called as post-processing").
 ///
 /// Here `runLanes` is the functional kernel body (branch-light
-/// single-probe matcher, per-lane token streams with chunk-absolute
-/// back-distances) and `refine` is the CPU step: re-emit lane streams
-/// into one canonical token stream (merging literal runs that straddle
-/// lane boundaries) and fall back to store-raw when compression does
-/// not pay.
+/// single-probe matcher, one token stream per lane, match history reset
+/// at every lane boundary) and `refine` is the CPU step: frame the lane
+/// streams as the v2 sub-block format (compress/SubBlockFrame.h), one
+/// lane per sub-block, and fall back to store-raw when compression does
+/// not pay. The paper lets a lane's history overlap its neighbour's
+/// region; padre resets it instead, so every block the lanes write is
+/// independently decodable per sub-block — by the warp kernel
+/// (compress/GpuWarpDecompressor.h) or the CPU pool — at the measured
+/// ratio cost EXPERIMENTS.md A5 reports.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -33,10 +36,9 @@ namespace padre {
 
 /// Kernel geometry.
 struct GpuLaneConfig {
-  /// Device threads assigned per chunk.
+  /// Device threads assigned per chunk, one frame sub-block each
+  /// (1..MaxSubBlocks).
   unsigned Lanes = 8;
-  /// History-buffer overlap into the previous lane's region, in bytes.
-  std::size_t HistoryBytes = 256;
 };
 
 /// The unrefined device output for one chunk: one token stream per
@@ -51,7 +53,7 @@ struct LaneOutputs {
 
 /// The refined (CPU post-processed) result for one chunk.
 struct RefinedChunk {
-  /// Encoded block (GpuLane method, or Raw on fallback).
+  /// Encoded block (LzFramed method, or Raw on fallback).
   ByteVector Block;
   /// Merged functional stats across lanes.
   CompressStats Stats;
@@ -60,16 +62,19 @@ struct RefinedChunk {
 };
 
 /// Lane-parallel LZ compressor (kernel body + post-processing).
-/// Stateless; safe to share between threads.
+/// Stateless; safe to share between threads. For every chunk,
+/// `refine(runLanes(Chunk), Chunk).Block` is the block
+/// `LzCodec(SingleProbe).compressFramed(Chunk, Lanes)` frames.
 class GpuLaneCompressor {
 public:
   explicit GpuLaneCompressor(GpuLaneConfig Config = GpuLaneConfig());
 
-  /// The kernel body: compresses every lane of \p Chunk functionally.
+  /// The kernel body: compresses every lane of \p Chunk functionally,
+  /// splitting it at `size * i / lanes` (the compressFramed split).
   /// \p Chunk must be at most LzCodec::MaxInputSize bytes.
   LaneOutputs runLanes(ByteSpan Chunk) const;
 
-  /// CPU post-processing: merges \p Outputs into one canonical block.
+  /// CPU post-processing: frames \p Outputs into one LzFramed block.
   /// \p Chunk is the original data (needed for the store-raw fallback).
   static RefinedChunk refine(const LaneOutputs &Outputs, ByteSpan Chunk);
 

@@ -39,7 +39,7 @@ GpuWarpDecompressor::plan(ByteSpan Payload, std::size_t OriginalSize,
 
 namespace {
 
-/// Token kinds for divergence tracking (mirrors the lane planner).
+/// Token kinds for divergence tracking.
 enum class TokenKind { None, Literal, Match };
 
 } // namespace

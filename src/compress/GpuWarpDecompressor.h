@@ -1,18 +1,19 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The warp-cooperative decode kernel for v2 framed payloads — decode
-/// v2's second level of parallelism, after the lane-per-chunk
-/// GpuLaneDecompressor.
+/// The warp-cooperative decode kernel for v2 framed payloads — padre's
+/// one GPU decoder. Every block the GPU lane compressor writes is
+/// framed (one lane per sub-block), as is every CPU-compressed chunk
+/// at SubBlocks > 1; unframed methods decode on the CPU pool.
 ///
-/// The v1 lane design has two structural costs the CODAG and Gompresso
-/// papers attack (see PAPERS.md): the CPU must pre-parse the *whole*
-/// token stream to find lane boundaries (O(payload) serial work per
-/// chunk), and lanes run in one lockstep wavefront, so every
-/// literal/match branch divergence is paid by all lanes. The framed
-/// format (compress/SubBlockFrame.h) kills the first cost — sub-block
-/// boundaries are in the header, so planning is O(N) — and the
-/// reader-warp design kills most of the second: one warp owns one
+/// A lane-per-chunk decoder over an unframed stream has two structural
+/// costs the CODAG and Gompresso papers attack (see PAPERS.md): the CPU
+/// must pre-parse the *whole* token stream to find lane boundaries
+/// (O(payload) serial work per chunk), and lanes run in one lockstep
+/// wavefront, so every literal/match branch divergence is paid by all
+/// lanes. The framed format (compress/SubBlockFrame.h) kills the first
+/// cost — sub-block boundaries are in the header, so planning is O(N) —
+/// and the reader-warp design kills most of the second: one warp owns one
 /// sub-block, a reader sub-warp streams tokens while the decoder lanes
 /// expand them in parallel, and warps proceed independently (no
 /// cross-warp lockstep).
@@ -57,8 +58,7 @@ struct WarpSubBlock {
   /// Self-overlapping matches (distance < length): Gompresso's
   /// bit-parallel replication case.
   std::uint32_t OverlapMatches = 0;
-  /// Byte mix of the sub-block, for reporting parity with the lane
-  /// decoder.
+  /// Byte mix of the sub-block.
   CompressStats Stats;
 };
 
@@ -78,9 +78,9 @@ public:
   /// The CPU pre-parse: validates the frame header of \p Payload
   /// against \p OriginalSize and fills \p Table (capacity >=
   /// MaxSubBlocks) with the sub-block extents — no token walk, which
-  /// is the point (CostModel::FramePlanUs vs PlanSetupUs +
-  /// PlanPerByteNs x payload). Returns nullopt on any malformed
-  /// header; token-stream damage is caught by runWarps.
+  /// is the point (CostModel::FramePlanUs, flat per chunk). Returns
+  /// nullopt on any malformed header; token-stream damage is caught by
+  /// runWarps.
   static std::optional<GpuWarpPlan> plan(ByteSpan Payload,
                                          std::size_t OriginalSize,
                                          std::span<WarpSubBlock> Table);

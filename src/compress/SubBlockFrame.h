@@ -17,17 +17,17 @@
 ///                  u16 sub-block output bytes minus one)
 ///   offset 4+4N …  N concatenated LZ token streams (LzCodec format)
 ///
-/// The frame header is the "small header" the issue calls for: it is
-/// what lets a decode plan be built in O(N) instead of the O(payload)
-/// serial token walk the v1 lane planner needs. Entries are u16, not
-/// u32, because the header is pure ratio tax — at N=8 a u32 table
-/// would cost 68 bytes per chunk, ~1.5% of a typical compressed 4 KiB
-/// chunk on its own. Output bytes are stored minus one so the full
-/// [1, MaxInputSize] range fits; payload bytes fit u16 directly for
-/// every split of two or more (worst-case LZ expansion of a 32 KiB
-/// half is ~33 KB), and compressFramed splits finer on the one corner
-/// case (single sub-block over an incompressible ~64 KiB chunk) where
-/// they would not.
+/// The frame header is deliberately small: it is what lets a decode
+/// plan be built in O(N) instead of the O(payload) serial token walk
+/// an unframed stream needs. Entries are u16, not u32, because the
+/// header is pure ratio tax — at N=8 a u32 table would cost 68 bytes
+/// per chunk, ~1.5% of a typical compressed 4 KiB chunk on its own.
+/// Output bytes are stored minus one so the full [1, MaxInputSize]
+/// range fits; payload bytes fit u16 directly for every split of two
+/// or more (worst-case LZ expansion of a 32 KiB half is ~33 KB), and
+/// compressFramed splits finer on the one corner case (single
+/// sub-block over an incompressible ~64 KiB chunk) where they would
+/// not.
 ///
 //===----------------------------------------------------------------------===//
 

@@ -183,59 +183,56 @@ void CompressEngine::compressRangeGpu(std::span<const ChunkView> Chunks,
       }
     }
 
-    if (!DeviceOk.ok()) {
-      // Degraded mode: re-compress this sub-batch on the CPU path.
-      // Whatever the device produced is discarded — the output is
-      // bit-exact either way, only the modelled cost differs.
+    // Degraded mode on a device fault: the CPU pool runs this
+    // sub-batch's lanes itself and writes the very blocks the kernel
+    // would have written, charged as the CPU backend charges a framed
+    // chunk (one compression scan, no separate refinement). Whatever
+    // the device produced is discarded — only the modelled cost
+    // differs.
+    const bool OnDevice = DeviceOk.ok();
+    double RoundTripUs = 0.0;
+    if (OnDevice) {
+      // Every chunk in the sub-batch waits for the whole kernel round
+      // trip before its CPU refinement can start.
+      const double Penalty =
+          Device->mixedMode() ? Model.Gpu.MixedKernelPenalty : 1.0;
+      RoundTripUs = Model.pcieTransferUs(InBytes) +
+                    (Model.Gpu.LaunchUs + ExecMicros) * Penalty +
+                    Model.pcieTransferUs(OutBytes);
+    } else {
       ++GpuFallbackCount;
       if (GpuFallbacks)
         GpuFallbacks->add(1);
-      compressRangeCpu(Chunks, Begin, End, Out);
-      continue;
     }
 
-    // Every chunk in the sub-batch waits for the whole kernel round
-    // trip before its CPU refinement can start.
-    const double Penalty =
-        Device->mixedMode() ? Model.Gpu.MixedKernelPenalty : 1.0;
-    const double RoundTripUs = Model.pcieTransferUs(InBytes) +
-                               (Model.Gpu.LaunchUs + ExecMicros) * Penalty +
-                               Model.pcieTransferUs(OutBytes);
-
     // CPU post-processing across the pool (§3.2(2)-(3): "the GPU
-    // performs compression and the CPU is used for refinement").
+    // performs compression and the CPU is used for refinement"). The
+    // entropy stage never runs here: every block is LzFramed or Raw,
+    // and a Huffman wrap would hide the frame (the compressRangeCpu
+    // rule).
     Pool.parallelForSlices(
         Begin, End,
         [&](std::size_t SliceBegin, std::size_t SliceEnd, unsigned) {
           double Micros = 0.0;
           std::uint64_t Raw = 0;
           for (std::size_t I = SliceBegin; I < SliceEnd; ++I) {
-            RefinedChunk Refined = GpuLaneCompressor::refine(
-                DeviceResults[I], Chunks[I].Data);
-            const double PostUs = Model.cpuPostprocessUs(
-                Refined.Block.size() - BlockHeaderSize, Refined.StoredRaw);
-            Micros += PostUs;
-            Out[I].LatencyUs = RoundTripUs + PostUs;
-            if (Refined.StoredRaw)
-              ++Raw;
-            // Optional entropy stage: part of post-processing here.
-            if (Config.EntropyStage && !Refined.StoredRaw) {
-              const ByteSpan Tokens(Refined.Block.data() + BlockHeaderSize,
-                                    Refined.Block.size() - BlockHeaderSize);
-              const double HuffUs =
-                  Model.Cpu.HuffmanPerByteNs * 1e-3 *
-                  static_cast<double>(Tokens.size());
-              Micros += HuffUs;
-              Out[I].LatencyUs += HuffUs;
-              if (auto Entropy = entropyEncodeTokens(Tokens))
-                Refined.Block = encodeBlock(
-                    BlockMethod::LzHuff,
-                    static_cast<std::uint32_t>(Chunks[I].Data.size()),
-                    ByteSpan(Entropy->data(), Entropy->size()));
-            }
+            const ByteSpan Data = Chunks[I].Data;
+            if (!OnDevice)
+              DeviceResults[I] = LaneCompressor.runLanes(Data);
+            RefinedChunk Refined =
+                GpuLaneCompressor::refine(DeviceResults[I], Data);
+            const double Us =
+                OnDevice ? Model.cpuPostprocessUs(
+                               Refined.Block.size() - BlockHeaderSize,
+                               Refined.StoredRaw)
+                         : Model.cpuCompressUs(Refined.Stats.LiteralBytes,
+                                               Refined.Stats.MatchBytes);
+            Micros += Us;
+            Raw += Refined.StoredRaw;
             Out[I].Block = std::move(Refined.Block);
             Out[I].Stats = Refined.Stats;
             Out[I].StoredRaw = Refined.StoredRaw;
+            Out[I].LatencyUs = RoundTripUs + Us;
           }
           Ledger.chargeMicros(Resource::CpuPool, Micros);
           RawFallbacks.fetch_add(Raw, std::memory_order_relaxed);

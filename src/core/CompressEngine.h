@@ -8,8 +8,9 @@
 ///     algorithm to each chunk": one QuickLZ-class codec call per chunk
 ///     across the pool.
 ///   * GpuLane — the paper's design: chunks are batched to the device,
-///     each chunk is compressed by multiple lanes with overlapping
-///     history windows, and "the GPU's compression results are not
+///     each chunk is compressed by multiple lanes (one v2 frame
+///     sub-block each, compress/GpuLaneCompressor.h), and "the GPU's
+///     compression results are not
 ///     refined in GPU due to performance issues. Therefore, the CPU
 ///     must refine the results" — the CPU post-processing stage runs on
 ///     the pool after each kernel.
@@ -60,16 +61,17 @@ struct CompressEngineConfig {
   GpuLaneConfig Lanes;
   /// Optional Huffman entropy stage over the LZ token stream
   /// (extension): extra CPU cycles for extra ratio. Applied on the CPU
-  /// in both backends (for GpuLane it is part of post-processing).
+  /// to unframed chunks only, so the GpuLane backend (which always
+  /// frames) never runs it.
   bool EntropyStage = false;
   /// Sub-blocks per chunk for the v2 framed format (decode v2's
   /// compress-time half, see compress/SubBlockFrame.h). 1 emits the
   /// classic unframed payloads; >1 splits each chunk into that many
   /// independently-decodable sub-blocks (history reset at boundaries)
   /// so the warp-cooperative decoder can expand them in parallel — at
-  /// a small measured ratio cost. CPU backend only: the GPU-lane write
-  /// path keeps its own format, and the entropy stage is skipped for
-  /// framed chunks (a Huffman wrap would hide the sub-block
+  /// a small measured ratio cost. CPU backend only: the GpuLane backend
+  /// frames one sub-block per lane (Lanes.Lanes). The entropy stage is
+  /// skipped for framed chunks (a Huffman wrap would hide the sub-block
   /// boundaries the frame exists to expose).
   unsigned SubBlocks = 1;
 };
@@ -85,9 +87,9 @@ public:
                  const obs::ObsSinks &Obs = obs::ObsSinks());
 
   /// Compresses every chunk in the batch into \p Out (resized).
-  /// Infallible by construction: a GPU device fault re-compresses the
-  /// affected sub-batch on the CPU path (degraded mode), so callers
-  /// never see a partial batch.
+  /// Infallible by construction: a GPU device fault re-runs the
+  /// affected sub-batch's lanes on the CPU pool (degraded mode), which
+  /// writes the same blocks, so callers never see a partial batch.
   void compressBatch(std::span<const ChunkView> Chunks,
                      std::vector<CompressedChunk> &Out);
 
@@ -109,8 +111,7 @@ public:
   const CompressEngineConfig &config() const { return Config; }
 
 private:
-  /// CPU backend over [Begin, End) — also the GPU backend's per-sub-
-  /// batch fallback.
+  /// CPU backend over [Begin, End).
   void compressRangeCpu(std::span<const ChunkView> Chunks,
                         std::size_t Begin, std::size_t End,
                         std::vector<CompressedChunk> &Out);

@@ -99,10 +99,12 @@ ReductionPipeline::ReductionPipeline(const Platform &Platform,
       Config.Trace);
 
   if (Config.Backend.Enabled && Config.CompressEnabled) {
-    backend::AutoSplitter::Setup Setup{Platform.Model, Ledger,
-                                       Pool,           *Sched,
-                                       Device.get(),   Config.Compress,
-                                       Obs,            Config.Faults,
+    // The splitter keeps a reference to the model: hand it the member
+    // copy, not the (possibly temporary) constructor argument.
+    backend::AutoSplitter::Setup Setup{Plat.Model,   Ledger,
+                                       Pool,         *Sched,
+                                       Device.get(), Config.Compress,
+                                       Obs,          Config.Faults,
                                        Config.Backend};
     Splitter = std::make_unique<backend::AutoSplitter>(Setup);
   }

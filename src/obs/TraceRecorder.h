@@ -7,8 +7,9 @@
 /// clock — NOT wall-clock time. The recorder therefore shows where a
 /// write spent its *modelled* time across chunk → dedup → compress →
 /// destage, which is the quantity every paper experiment (E1–E5) is
-/// measured in; wall time on this host is meaningless (see
-/// OBSERVABILITY.md, "modelled time vs wall time").
+/// measured in. Host wall time is a separate measurement of different
+/// hardware and never enters a span (see OBSERVABILITY.md, "modelled
+/// time vs wall time").
 ///
 /// Spans export as Chrome `trace_event` JSON ("X" complete events, one
 /// thread track per lane) loadable in about:tracing or Perfetto. The

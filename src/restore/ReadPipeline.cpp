@@ -8,7 +8,6 @@
 #include "restore/ReadPipeline.h"
 
 #include "compress/ChunkCodec.h"
-#include "compress/GpuLaneCompressor.h"
 
 #include <algorithm>
 #include <cassert>
@@ -18,24 +17,9 @@
 using namespace padre;
 using namespace padre::restore;
 
-namespace {
-
-/// Methods whose payload is the shared LZ token stream — what the
-/// lane-decompression kernel accepts. Raw copies on the CPU; LzHuff
-/// needs the serial Huffman stage first, so it stays on the CPU too.
-/// LzFramed is NOT here: the lane planner predates the v2 frame, so
-/// framed chunks go to the warp kernel (WarpGpu mode) or the CPU.
-bool gpuDecodable(BlockMethod Method) {
-  return Method == BlockMethod::Lz77 || Method == BlockMethod::QuickLz ||
-         Method == BlockMethod::GpuLane;
-}
-
-} // namespace
-
 ReadPipeline::ReadPipeline(ReductionPipeline &Pipeline,
                            const ReadConfig &Config)
-    : Pipe(Pipeline), Config(Config), Model(Pipeline.platform().Model),
-      Decoder(GpuLaneConfig().Lanes) {
+    : Pipe(Pipeline), Config(Config), Model(Pipeline.platform().Model) {
   if (this->Config.BatchDepth == 0)
     this->Config.BatchDepth = 1;
 
@@ -59,9 +43,6 @@ ReadPipeline::ReadPipeline(ReductionPipeline &Pipeline,
   case DecodeMode::Cpu:
     Mode = DecodeMode::Cpu;
     break;
-  case DecodeMode::Gpu:
-    Mode = Device ? DecodeMode::Gpu : DecodeMode::Cpu;
-    break;
   case DecodeMode::WarpGpu:
     Mode = Device ? DecodeMode::WarpGpu : DecodeMode::Cpu;
     break;
@@ -69,15 +50,6 @@ ReadPipeline::ReadPipeline(ReductionPipeline &Pipeline,
     Mode = Probe.Mode;
     break;
   }
-  // The warp kernel only accepts framed payloads; unframed LZ chunks in
-  // WarpGpu mode ride the lane kernel only when the probe priced it
-  // under the CPU pool (forced Gpu mode keeps the old unconditional
-  // routing).
-  UnframedToLane =
-      Mode == DecodeMode::Gpu ||
-      (Mode == DecodeMode::WarpGpu && Probe.GpuUs > 0.0 &&
-       Probe.GpuUs < Probe.CpuUs);
-
   resetMeasurement();
 
   if (obs::MetricsRegistry *M = Pipe.config().Metrics) {
@@ -100,33 +72,19 @@ ReadPipeline::ReadPipeline(ReductionPipeline &Pipeline,
                     "Chunk reads that failed to decode (corruption)");
     CpuBatchesTotal = &M->counter("padre_read_batches_total{mode=\"cpu\"}",
                                   "Decode batches by executing resource");
-    GpuBatchesTotal = &M->counter("padre_read_batches_total{mode=\"gpu\"}",
-                                  "Decode batches by executing resource");
     WarpBatchesTotal = &M->counter("padre_read_batches_total{mode=\"warp\"}",
                                    "Decode batches by executing resource");
-    MixedLaneTotal =
-        &M->counter("padre_read_mixed_batches_total{route=\"lane\"}",
-                    "Mixed framed/unframed batches by arbitrated route of "
-                    "the unframed remainder");
-    MixedCpuTotal =
-        &M->counter("padre_read_mixed_batches_total{route=\"cpu\"}",
-                    "Mixed framed/unframed batches by arbitrated route of "
-                    "the unframed remainder");
     DecodeModeGauge =
         &M->gauge("padre_read_decode_mode",
-                  "Effective decode mode (0=cpu 1=gpu 2=warp)");
+                  "Effective decode mode (0=cpu 2=warp)");
     DecodeModeGauge->set(static_cast<double>(static_cast<unsigned>(Mode)));
     ProbeCpuGauge =
         &M->gauge("padre_read_probe_us{mode=\"cpu\"}",
-                  "Construction-probe modelled decode makespan (us)");
-    ProbeGpuGauge =
-        &M->gauge("padre_read_probe_us{mode=\"gpu\"}",
                   "Construction-probe modelled decode makespan (us)");
     ProbeWarpGauge =
         &M->gauge("padre_read_probe_us{mode=\"warp\"}",
                   "Construction-probe modelled decode makespan (us)");
     ProbeCpuGauge->set(Probe.CpuUs);
-    ProbeGpuGauge->set(Probe.GpuUs);
     ProbeWarpGauge->set(Probe.WarpUs);
     if (Device)
       GpuFallbackTotal = &M->counter(
@@ -142,9 +100,7 @@ void ReadPipeline::resetMeasurement() {
   ChunksRequested = BytesOut = 0;
   CacheHits = SsdChunks = EncodedBytesIn = 0;
   CoalescedRuns = RandomReads = ReadaheadChunks = 0;
-  DecodeFailures = GpuBatches = CpuBatches = 0;
-  WarpBatches = FramedChunks = 0;
-  MixedBatches = MixedToLane = 0;
+  DecodeFailures = CpuBatches = WarpBatches = FramedChunks = 0;
   LatencyHist = Histogram(20000.0, 2000);
 }
 
@@ -350,13 +306,14 @@ bool ReadPipeline::processBatch(std::span<const std::uint64_t> Locations,
   }
 
   //===------------------------------------------------------------===//
-  // Stage 2: decode — parse headers, then CPU pool or GPU kernel.
+  // Stage 2: decode — parse headers, then framed chunks to the warp
+  // kernel (WarpGpu mode) and everything else to the CPU pool.
   // Fetch-failed items skip the stage; decode failures are per-item.
   //===------------------------------------------------------------===//
   {
     const obs::StageSpan Stage(Trace, Ledger, "restore:decode");
 
-    std::vector<BatchItem *> CpuItems, GpuItems, WarpItems, Unframed;
+    std::vector<BatchItem *> CpuItems, WarpItems;
     for (BatchItem &Item : Items) {
       if (Item.Failed)
         continue;
@@ -374,41 +331,12 @@ bool ReadPipeline::processBatch(std::span<const std::uint64_t> Locations,
       if (Mode == DecodeMode::WarpGpu &&
           Item.Method == BlockMethod::LzFramed)
         WarpItems.push_back(&Item);
-      else if (Mode == DecodeMode::WarpGpu && Device &&
-               gpuDecodable(Item.Method))
-        Unframed.push_back(&Item); // routed below, once the mix is known
-      else if (UnframedToLane && gpuDecodable(Item.Method))
-        GpuItems.push_back(&Item);
       else
         CpuItems.push_back(&Item);
     }
 
-    // WarpGpu-mode unframed remainders: a homogeneous batch (no warp
-    // work) keeps the run-level probe decision; a genuinely mixed
-    // batch arbitrates per batch — the remainder is usually much
-    // shallower than BatchDepth, so the probe's full-batch launch
-    // amortization no longer holds for it.
-    if (!Unframed.empty()) {
-      bool ToLane = UnframedToLane;
-      if (!WarpItems.empty()) {
-        ++MixedBatches;
-        ToLane = unframedLaneWins(Unframed);
-        if (ToLane) {
-          ++MixedToLane;
-          if (MixedLaneTotal)
-            MixedLaneTotal->add(1);
-        } else if (MixedCpuTotal) {
-          MixedCpuTotal->add(1);
-        }
-      }
-      std::vector<BatchItem *> &Dest = ToLane ? GpuItems : CpuItems;
-      Dest.insert(Dest.end(), Unframed.begin(), Unframed.end());
-    }
-
     if (!CpuItems.empty())
       decodeCpu(CpuItems);
-    if (!GpuItems.empty())
-      decodeGpu(GpuItems);
     if (!WarpItems.empty())
       decodeWarp(WarpItems);
 
@@ -462,43 +390,6 @@ bool ReadPipeline::processBatch(std::span<const std::uint64_t> Locations,
   return Ok;
 }
 
-bool ReadPipeline::unframedLaneWins(
-    const std::vector<BatchItem *> &Unframed) const {
-  assert(Device && "Arbitration without a device");
-  const double Threads = static_cast<double>(Model.Cpu.Threads);
-  // CPU pool: chunk-parallel over the remainder's actual sizes.
-  double CpuUs = 0.0;
-  // Lane path: plan on the pool, then kernel + DMA. The kernel time is
-  // the all-literal single-lane estimate (the dominant literal rate,
-  // no plan computed yet — planning is part of the path being priced,
-  // so the quote must not pay it twice).
-  double PlanUs = 0.0;
-  double ExecUs = 0.0;
-  double PayloadBytes = 0.0;
-  double OutBytes = 0.0;
-  for (const BatchItem *Item : Unframed) {
-    CpuUs += Model.Cpu.DecompressSetupUs +
-             Model.Cpu.DecompressPerByteNs * 1e-3 *
-                 static_cast<double>(Item->OriginalSize);
-    PlanUs += Model.Cpu.PlanSetupUs +
-              Model.Cpu.PlanPerByteNs * 1e-3 *
-                  static_cast<double>(Item->Payload.size());
-    ExecUs += Model.gpuDecodeLaneUs(Item->OriginalSize, 0, 1);
-    PayloadBytes += static_cast<double>(Item->Payload.size());
-    OutBytes += static_cast<double>(Item->OriginalSize);
-  }
-  const double Kernels =
-      std::ceil(static_cast<double>(Unframed.size()) /
-                static_cast<double>(Model.Gpu.DecompressBatchChunks));
-  const double GpuBusyUs = Kernels * Model.Gpu.LaunchUs + ExecUs;
-  const double PcieBusyUs = Kernels * 2.0 * Model.Pcie.PerTransferUs +
-                            (PayloadBytes + OutBytes) /
-                                (Model.Pcie.GigabytesPerSec * 1e3);
-  const double LaneUs =
-      std::max(PlanUs / Threads, std::max(GpuBusyUs, PcieBusyUs));
-  return LaneUs < CpuUs / Threads;
-}
-
 void ReadPipeline::decodeCpu(const std::vector<BatchItem *> &Items) {
   ++CpuBatches;
   if (CpuBatchesTotal)
@@ -545,132 +436,6 @@ void ReadPipeline::decodeCpu(const std::vector<BatchItem *> &Items) {
       });
 }
 
-void ReadPipeline::decodeGpu(const std::vector<BatchItem *> &Items) {
-  assert(Device && "GPU decode without device");
-  const std::size_t SubBatch = Model.Gpu.DecompressBatchChunks;
-
-  for (std::size_t Begin = 0; Begin < Items.size(); Begin += SubBatch) {
-    const std::size_t End = std::min(Items.size(), Begin + SubBatch);
-    ++GpuBatches;
-    if (GpuBatchesTotal)
-      GpuBatchesTotal->add(1);
-
-    // CPU pre-parse across the pool: split every token stream into
-    // lane segments. Planning doubles as validation — a malformed
-    // payload fails here, before any device traffic, and only fails
-    // its own chunk.
-    Pipe.pool().parallelForSlices(
-        Begin, End, [&](std::size_t SliceBegin, std::size_t SliceEnd,
-                        unsigned) {
-          double Micros = 0.0;
-          for (std::size_t I = SliceBegin; I < SliceEnd; ++I) {
-            BatchItem &Item = *Items[I];
-            const double PlanUs =
-                Model.Cpu.PlanSetupUs +
-                Model.Cpu.PlanPerByteNs * 1e-3 *
-                    static_cast<double>(Item.Payload.size());
-            Micros += PlanUs;
-            Item.DecodeUs += PlanUs;
-            Item.Plan = Decoder.plan(Item.Payload, Item.OriginalSize);
-            if (!Item.Plan) {
-              Item.Failed = true;
-              Item.Error = fault::ErrorCode::DecodeError;
-            }
-          }
-          Pipe.ledger().chargeMicros(Resource::CpuPool, Micros);
-        });
-
-    // Host -> device: the compressed payloads (planned chunks only).
-    std::size_t InBytes = 0;
-    for (std::size_t I = Begin; I < End; ++I)
-      if (Items[I]->Plan)
-        InBytes += Items[I]->Payload.size();
-
-    // Kernel time under the SIMT lockstep rule: every chunk costs
-    // lanes x its slowest lane, with divergence priced per token-kind
-    // switch (compress/GpuLaneDecompressor.h).
-    double ExecMicros = 0.0;
-    for (std::size_t I = Begin; I < End; ++I) {
-      if (!Items[I]->Plan)
-        continue;
-      const GpuDecodePlan &Plan = *Items[I]->Plan;
-      double SlowestLane = 0.0;
-      for (const GpuDecodeLane &Lane : Plan.Lanes)
-        SlowestLane = std::max(
-            SlowestLane,
-            Model.gpuDecodeLaneUs(Lane.Stats.LiteralBytes,
-                                  Lane.Stats.MatchBytes,
-                                  Lane.TokenSwitches));
-      ExecMicros += SlowestLane * static_cast<double>(Plan.Lanes.size());
-    }
-
-    fault::Status DeviceOk = Device->transferToDevice(InBytes);
-
-    // The lane-parallel kernel over the whole sub-batch; the body is
-    // the functional decode. An injected kernel fault skips the body.
-    if (DeviceOk.ok())
-      DeviceOk =
-          Device->launchKernel(KernelFamily::Decompression, ExecMicros, [&] {
-            for (std::size_t I = Begin; I < End; ++I) {
-              BatchItem &Item = *Items[I];
-              if (!Item.Plan)
-                continue;
-              Item.Decoded.reserve(Item.OriginalSize);
-              if (!GpuLaneDecompressor::runLanes(Item.Payload, *Item.Plan,
-                                                 Item.Decoded)) {
-                Item.Failed = true;
-                Item.Error = fault::ErrorCode::DecodeError;
-              }
-            }
-          });
-
-    // Device -> host: the decoded chunks.
-    std::size_t OutBytes = 0;
-    for (std::size_t I = Begin; I < End; ++I)
-      if (Items[I]->Plan)
-        OutBytes += Items[I]->OriginalSize;
-    if (DeviceOk.ok())
-      DeviceOk = Device->transferFromDevice(OutBytes);
-
-    if (!DeviceOk.ok()) {
-      // Degraded mode: re-decode this sub-batch on the CPU path.
-      // Whatever the device produced (including DMA-corrupt output) is
-      // discarded — the CPU decode is authoritative, so the delivered
-      // bytes are bit-exact either way; only the modelled cost
-      // differs. Plan failures stay failed: the payload is malformed
-      // on any backend.
-      ++GpuDecodeFallbacks;
-      if (GpuFallbackTotal)
-        GpuFallbackTotal->add(1);
-      std::vector<BatchItem *> Retry;
-      Retry.reserve(End - Begin);
-      for (std::size_t I = Begin; I < End; ++I) {
-        BatchItem &Item = *Items[I];
-        if (!Item.Plan)
-          continue;
-        Item.Failed = false;
-        Item.Error = fault::ErrorCode::Ok;
-        Item.Decoded.clear();
-        Retry.push_back(&Item);
-      }
-      if (!Retry.empty())
-        decodeCpu(Retry);
-      continue;
-    }
-
-    // Every chunk in the sub-batch waits for the whole round trip —
-    // the same latency semantics as the write side's GPU batches.
-    const double Penalty =
-        Device->mixedMode() ? Model.Gpu.MixedKernelPenalty : 1.0;
-    const double RoundTripUs = Model.pcieTransferUs(InBytes) +
-                               (Model.Gpu.LaunchUs + ExecMicros) * Penalty +
-                               Model.pcieTransferUs(OutBytes);
-    for (std::size_t I = Begin; I < End; ++I)
-      if (Items[I]->Plan)
-        Items[I]->DecodeUs += RoundTripUs;
-  }
-}
-
 void ReadPipeline::decodeWarp(const std::vector<BatchItem *> &Items) {
   assert(Device && "Warp decode without device");
   const std::size_t SubBatch = Model.Gpu.DecompressBatchChunks;
@@ -682,8 +447,8 @@ void ReadPipeline::decodeWarp(const std::vector<BatchItem *> &Items) {
       WarpBatchesTotal->add(1);
 
     // Planning is the whole point of the frame: an O(sub-blocks) header
-    // parse at FramePlanUs per chunk instead of the lane planner's
-    // O(payload) token walk. Cheap enough to run serially on the batch
+    // parse at FramePlanUs per chunk instead of an O(payload) token
+    // walk. Cheap enough to run serially on the batch
     // thread — which is also what the arena's single-owner contract
     // wants (sub-block tables are arena-backed).
     double PlanMicros = 0.0;
@@ -752,7 +517,7 @@ void ReadPipeline::decodeWarp(const std::vector<BatchItem *> &Items) {
       DeviceOk = Device->transferFromDevice(OutBytes);
 
     if (!DeviceOk.ok()) {
-      // Degraded mode, same contract as the lane path: discard whatever
+      // Degraded mode, the write side's contract: discard whatever
       // the device produced (the functional results stand in for data
       // that a fault made untrustworthy) and re-decode on the CPU —
       // delivered bytes stay bit-exact, only the modelled cost differs.
@@ -794,8 +559,8 @@ ReadPipeline::ProbeResult ReadPipeline::probeMode() const {
 
   // Synthetic ~2:1-compressible chunk: alternate a repeating motif
   // with pseudo-random noise so the token stream mixes matches and
-  // literals (the divergence-relevant shape), then price every decode
-  // path at BatchDepth. Everything here is arithmetic on the cost
+  // literals (the divergence-relevant shape), then price both decode
+  // paths at BatchDepth. Everything here is arithmetic on the cost
   // model — nothing is charged to the ledger.
   const std::size_t ChunkSize =
       std::min(Pipe.config().ChunkSize, LzCodec::MaxInputSize);
@@ -840,34 +605,6 @@ ReadPipeline::ProbeResult ReadPipeline::probeMode() const {
 
   const double Kernels = std::ceil(
       Depth / static_cast<double>(Model.Gpu.DecompressBatchChunks));
-  const double PcieStreamUs =
-      Depth * (PayloadBytes + static_cast<double>(ChunkSize)) /
-      (Model.Pcie.GigabytesPerSec * 1e3);
-
-  // Lane-GPU path: plan on the pool, kernel + DMA on device lanes; the
-  // makespan is the busiest of the three (perfect stage overlap, the
-  // same first-order model the ledger uses).
-  if (const auto Plan = Decoder.plan(
-          ByteSpan(Probe.Payload.data(), Probe.Payload.size()), ChunkSize)) {
-    double SlowestLane = 0.0;
-    for (const GpuDecodeLane &Lane : Plan->Lanes)
-      SlowestLane = std::max(
-          SlowestLane, Model.gpuDecodeLaneUs(Lane.Stats.LiteralBytes,
-                                             Lane.Stats.MatchBytes,
-                                             Lane.TokenSwitches));
-    const double ChunkExecUs =
-        SlowestLane * static_cast<double>(Plan->Lanes.size());
-    const double PlanBusyUs =
-        Depth *
-        (Model.Cpu.PlanSetupUs +
-         Model.Cpu.PlanPerByteNs * 1e-3 * PayloadBytes) /
-        Threads;
-    const double GpuBusyUs =
-        Kernels * Model.Gpu.LaunchUs + Depth * ChunkExecUs;
-    const double PcieBusyUs =
-        Kernels * 2.0 * Model.Pcie.PerTransferUs + PcieStreamUs;
-    Result.GpuUs = std::max(PlanBusyUs, std::max(GpuBusyUs, PcieBusyUs));
-  }
 
   // Warp-GPU path over the framed probe: O(sub-blocks) planning,
   // per-warp (not lockstep) execution, and steady-state persistent
@@ -901,17 +638,10 @@ ReadPipeline::ProbeResult ReadPipeline::probeMode() const {
     }
   }
 
-  // Auto resolves to the cheapest modelled path (0 = unavailable).
-  double BestUs = Result.CpuUs;
-  Result.Mode = DecodeMode::Cpu;
-  if (Result.GpuUs > 0.0 && Result.GpuUs < BestUs) {
-    BestUs = Result.GpuUs;
-    Result.Mode = DecodeMode::Gpu;
-  }
-  if (Result.WarpUs > 0.0 && Result.WarpUs < BestUs) {
-    BestUs = Result.WarpUs;
-    Result.Mode = DecodeMode::WarpGpu;
-  }
+  // Auto resolves to the cheaper modelled path (0 = unavailable).
+  Result.Mode = Result.WarpUs > 0.0 && Result.WarpUs < Result.CpuUs
+                    ? DecodeMode::WarpGpu
+                    : DecodeMode::Cpu;
   return Result;
 }
 
@@ -926,15 +656,11 @@ ReadReport ReadPipeline::report() const {
   Report.RandomReads = RandomReads;
   Report.ReadaheadChunks = ReadaheadChunks;
   Report.DecodeFailures = DecodeFailures;
-  Report.GpuBatches = GpuBatches;
   Report.CpuBatches = CpuBatches;
   Report.WarpBatches = WarpBatches;
   Report.FramedChunks = FramedChunks;
-  Report.MixedBatches = MixedBatches;
-  Report.MixedToLane = MixedToLane;
   Report.Mode = Mode;
   Report.ProbeCpuUs = Probe.CpuUs;
-  Report.ProbeGpuUs = Probe.GpuUs;
   Report.ProbeWarpUs = Probe.WarpUs;
   Report.SubBlockRatioDeltaPct = Probe.RatioDeltaPct;
 

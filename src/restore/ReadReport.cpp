@@ -17,8 +17,6 @@ const char *padre::restore::decodeModeName(DecodeMode Mode) {
   switch (Mode) {
   case DecodeMode::Cpu:
     return "cpu";
-  case DecodeMode::Gpu:
-    return "gpu";
   case DecodeMode::WarpGpu:
     return "warp";
   case DecodeMode::Auto:
@@ -36,9 +34,8 @@ std::string ReadReport::toString() const {
       "ssdChunks=%llu (%.1f MiB in)\n"
       "fetch: coalescedRuns=%llu randomReads=%llu readahead=%llu "
       "decodeFailures=%llu\n"
-      "decode: mode=%s batches cpu=%llu gpu=%llu warp=%llu "
-      "framedChunks=%llu\n"
-      "probe: cpu=%.1fus gpu=%.1fus warp=%.1fus  "
+      "decode: mode=%s batches cpu=%llu warp=%llu framedChunks=%llu\n"
+      "probe: cpu=%.1fus warp=%.1fus  "
       "subBlockRatioDelta=%+.2f%%\n"
       "throughput=%.1fK IOPS (%.1f MB/s)  makespan=%.4fs bottleneck=%s\n"
       "latency (modelled): p50=%.0fus p95=%.0fus p99=%.0fus\n"
@@ -53,12 +50,10 @@ std::string ReadReport::toString() const {
       static_cast<unsigned long long>(ReadaheadChunks),
       static_cast<unsigned long long>(DecodeFailures), decodeModeName(Mode),
       static_cast<unsigned long long>(CpuBatches),
-      static_cast<unsigned long long>(GpuBatches),
       static_cast<unsigned long long>(WarpBatches),
-      static_cast<unsigned long long>(FramedChunks), ProbeCpuUs, ProbeGpuUs,
-      ProbeWarpUs, SubBlockRatioDeltaPct, ThroughputIops / 1e3,
-      ThroughputMBps, MakespanSec, resourceName(Bottleneck), LatencyP50Us,
-      LatencyP95Us, LatencyP99Us, CpuBusySec, GpuBusySec, PcieBusySec,
-      SsdBusySec);
+      static_cast<unsigned long long>(FramedChunks), ProbeCpuUs, ProbeWarpUs,
+      SubBlockRatioDeltaPct, ThroughputIops / 1e3, ThroughputMBps,
+      MakespanSec, resourceName(Bottleneck), LatencyP50Us, LatencyP95Us,
+      LatencyP99Us, CpuBusySec, GpuBusySec, PcieBusySec, SsdBusySec);
   return Buffer;
 }

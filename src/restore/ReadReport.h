@@ -20,15 +20,16 @@
 namespace padre {
 namespace restore {
 
-/// Who decodes a fetched batch.
+/// Who decodes a fetched batch. The values are the
+/// padre_read_decode_mode gauge's encoding (1 is retired).
 enum class DecodeMode {
-  Cpu,     ///< chunk-parallel across the CPU pool
-  Gpu,     ///< lane-parallel kernel (CPU pre-parses the lane splits)
-  WarpGpu, ///< warp-cooperative kernel over v2 framed payloads
-  Auto,    ///< probe all paths at construction, pick the fastest
+  Cpu = 0,     ///< chunk-parallel across the CPU pool
+  WarpGpu = 2, ///< warp-cooperative kernel over v2 framed payloads;
+               ///< unframed chunks still decode on the CPU pool
+  Auto = 3,    ///< probe both paths at construction, pick the faster
 };
 
-/// Returns "cpu", "gpu", "warp" or "auto".
+/// Returns "cpu", "warp" or "auto".
 const char *decodeModeName(DecodeMode Mode);
 
 /// Everything a restore run measures since construction or
@@ -60,7 +61,8 @@ struct ReadReport {
   std::uint64_t DecodeFailures = 0;
 
   // Decode-mode breakdown.
-  /// Decode sub-batches dispatched to the GPU lane kernel (count).
+  /// Decode sub-batches dispatched to the retired lane-decode kernel
+  /// (count). Always 0; kept so existing report readers still build.
   std::uint64_t GpuBatches = 0;
   /// Decode batches run on the CPU pool (count).
   std::uint64_t CpuBatches = 0;
@@ -69,13 +71,6 @@ struct ReadReport {
   std::uint64_t WarpBatches = 0;
   /// v2 framed chunks decoded, on any path (count).
   std::uint64_t FramedChunks = 0;
-  /// Batches where framed and unframed chunks genuinely mixed, so the
-  /// unframed remainder's route (lane kernel vs CPU pool) was
-  /// arbitrated per batch from that batch's actual composition (count).
-  std::uint64_t MixedBatches = 0;
-  /// Mixed-batch arbitrations that sent the unframed remainder to the
-  /// lane kernel (count); the remainder ran on the CPU pool otherwise.
-  std::uint64_t MixedToLane = 0;
   /// The mode batches run in (the probe's resolution of Auto; never
   /// Auto itself).
   DecodeMode Mode = DecodeMode::Cpu;
@@ -86,7 +81,6 @@ struct ReadReport {
   // chunk — the measured sub-block ratio delta the framing trades for
   // warp parallelism.
   double ProbeCpuUs = 0.0;
-  double ProbeGpuUs = 0.0;
   double ProbeWarpUs = 0.0;
   double SubBlockRatioDeltaPct = 0.0;
 

@@ -27,13 +27,10 @@ bool isValidCostModel(const CostModel &Model) {
       Model.Cpu.PostPerByteNs,     Model.Cpu.StoreRawPostUs,
       Model.Cpu.DecompressPerByteNs, Model.Cpu.HuffmanPerByteNs,
       Model.Cpu.VerifyPerByteNs,  Model.Cpu.CacheCopyPerByteNs,
-      Model.Cpu.DecompressSetupUs, Model.Cpu.PlanSetupUs,
-      Model.Cpu.PlanPerByteNs,     Model.Cpu.FramePlanUs,
+      Model.Cpu.DecompressSetupUs, Model.Cpu.FramePlanUs,
       Model.Gpu.LaunchUs,          Model.Gpu.HashPerByteNs,
       Model.Gpu.ProbePerEntryUs,   Model.Gpu.LaneSetupNs,
       Model.Gpu.LzLiteralPerByteNs, Model.Gpu.LzMatchPerByteNs,
-      Model.Gpu.DecLaneSetupNs,    Model.Gpu.DecLiteralPerByteNs,
-      Model.Gpu.DecMatchPerByteNs, Model.Gpu.DecDivergencePerTokenNs,
       Model.Gpu.WarpSubBlockSetupNs, Model.Gpu.WarpReaderPerTokenNs,
       Model.Gpu.WarpDecoderPerByteNs, Model.Gpu.WarpDivergencePerTokenNs,
       Model.Gpu.WarpOverlapPerMatchNs, Model.Gpu.WarpSyncNs,

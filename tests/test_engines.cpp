@@ -7,6 +7,7 @@
 ///
 //===----------------------------------------------------------------------===//
 
+#include "compress/ChunkCodec.h"
 #include "core/CompressEngine.h"
 
 #include <cstring>
@@ -264,13 +265,9 @@ TEST_P(BackendTest, CompressedBlocksDecodeToOriginal) {
         decodeBlock(ByteSpan(Out[I].Block.data(), Out[I].Block.size()));
     ASSERT_TRUE(View.has_value()) << I;
     ByteVector Decoded;
-    if (View->Method == BlockMethod::Raw)
-      Decoded.assign(View->Payload.begin(), View->Payload.end());
-    else
-      ASSERT_TRUE(LzCodec::decompress(View->Payload, View->OriginalSize,
-                                      Decoded));
+    ASSERT_TRUE(decodeChunkPayload(*View, Decoded)) << I;
     EXPECT_TRUE(std::equal(Decoded.begin(), Decoded.end(),
-                           Views[I].Data.begin()));
+                           Views[I].Data.begin(), Views[I].Data.end()));
   }
 }
 

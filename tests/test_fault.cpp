@@ -386,6 +386,30 @@ TEST_P(GpuFaultTest, WritePathFallsBackToCpuBitExact) {
   // stream is bit-exact.
   EXPECT_TRUE(Pipeline.verifyAgainst(ByteSpan(Data.data(), Data.size())));
   EXPECT_GT(Injector.injected(Kind), 0u);
+
+  // The CPU re-run writes the very blocks the lane kernel would have:
+  // a fault-free run of the same stream stores identical bytes at
+  // identical locations.
+  ReductionPipeline Clean(Platform::paper(),
+                          pipelineConfig(PipelineMode::GpuBoth));
+  ASSERT_TRUE(Clean.write(ByteSpan(Data.data(), Data.size())).ok());
+  ASSERT_TRUE(Clean.finish().ok());
+  const auto &Locations = Pipeline.recipe().ChunkLocations;
+  ASSERT_EQ(Locations, Clean.recipe().ChunkLocations);
+  std::size_t Framed = 0;
+  for (const std::uint64_t Loc : Locations) {
+    const auto Faulted = Pipeline.store().encodedBlock(Loc);
+    const auto Reference = Clean.store().encodedBlock(Loc);
+    ASSERT_TRUE(Faulted.has_value());
+    ASSERT_TRUE(Reference.has_value());
+    ASSERT_TRUE(std::equal(Faulted->begin(), Faulted->end(),
+                           Reference->begin(), Reference->end()))
+        << "location " << Loc;
+    const auto View = decodeBlock(*Faulted);
+    ASSERT_TRUE(View.has_value());
+    Framed += View->Method == BlockMethod::LzFramed;
+  }
+  EXPECT_GT(Framed, 0u);
   // The degradation is observable.
   std::uint64_t Fallbacks = 0;
   for (const char *Name :
@@ -416,29 +440,37 @@ INSTANTIATE_TEST_SUITE_P(
     });
 
 TEST(FaultRestoreTest, GpuDecodeFaultFallsBackToCpuBitExact) {
+  // The paper's best write mode end to end under a flaky device: every
+  // other kernel dies, on the write side (lane compression falls back
+  // to the CPU writing the same framed blocks) and on the read side
+  // (warp decode falls back to the CPU pool).
   const ByteVector Data = makeStream(2 << 20, 1.0); // all unique
   fault::FaultPlan Plan;
   auto Rule =
       rule(fault::FaultSite::GpuKernel, fault::FaultKind::GpuEccError);
-  Rule.EveryN = 2; // every other decode kernel dies
+  Rule.EveryN = 2;
   Plan.Rules.push_back(Rule);
   fault::FaultInjector Injector(Plan);
 
-  PipelineConfig Config = pipelineConfig(PipelineMode::CpuOnly);
+  PipelineConfig Config = pipelineConfig(PipelineMode::GpuCompress);
   Config.Faults = &Injector;
   ReductionPipeline Pipeline(Platform::paper(), Config);
   ASSERT_TRUE(Pipeline.write(ByteSpan(Data.data(), Data.size())).ok());
   ASSERT_TRUE(Pipeline.finish().ok());
 
   restore::ReadConfig ReadConfig;
-  ReadConfig.Mode = restore::DecodeMode::Gpu;
+  ReadConfig.Mode = restore::DecodeMode::WarpGpu;
+  ReadConfig.BatchDepth = 32; // several decode kernels
   restore::ReadPipeline Reader(Pipeline, ReadConfig);
-  ASSERT_EQ(Reader.effectiveMode(), restore::DecodeMode::Gpu);
+  ASSERT_EQ(Reader.effectiveMode(), restore::DecodeMode::WarpGpu);
   const auto Restored = Reader.readStream(Pipeline.recipe());
   ASSERT_TRUE(Restored.has_value());
   EXPECT_EQ(*Restored, Data); // every chunk delivered despite the faults
   EXPECT_GT(Reader.gpuDecodeFallbackCount(), 0u);
-  EXPECT_EQ(Reader.report().DecodeFailures, 0u);
+  const restore::ReadReport Report = Reader.report();
+  EXPECT_EQ(Report.DecodeFailures, 0u);
+  EXPECT_GT(Report.FramedChunks, 0u);
+  EXPECT_EQ(Report.GpuBatches, 0u);
 }
 
 TEST(FaultRestoreTest, WarpDecodeFaultEvictsKernelAndFallsBackBitExact) {

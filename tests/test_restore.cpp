@@ -1,17 +1,20 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Tests for the batched restore pipeline (src/restore): CPU and GPU
+/// Tests for the batched restore pipeline (src/restore): CPU and warp
 /// decode round trips, batch dedup and SSD coalescing, the cache front
 /// tier and recipe-locality readahead, decode-failure accounting, the
-/// Auto probe's launch-latency crossover, the span/report
-/// reconciliation contract, and volume-level reads interleaved with
-/// TRIM / GC / snapshots / scrub.
+/// Auto probe, framed/unframed routing (legacy unframed GpuLane images
+/// included), the span/report reconciliation contract, and
+/// volume-level reads interleaved with TRIM / GC / snapshots / scrub.
 ///
 //===----------------------------------------------------------------------===//
 
+#include "compress/ChunkCodec.h"
 #include "core/TraceRunner.h"
+#include "hash/Crc32.h"
 #include "obs/Obs.h"
+#include "persist/VolumeImage.h"
 #include "restore/VolumeReader.h"
 #include "workload/VdbenchStream.h"
 
@@ -46,13 +49,14 @@ struct RestoreFixture : ::testing::Test {
   MetricsRegistry Metrics;
   std::unique_ptr<ReductionPipeline> Pipeline;
   ByteVector Data;
+  PipelineMode WriteMode = PipelineMode::CpuOnly;
 
   void write(std::uint64_t Bytes, std::size_t CacheBytes = 0,
              double DedupRatio = 2.0, double CompressRatio = 2.0,
              const Platform &Plat = Platform::paper(),
              unsigned SubBlocks = 1) {
     PipelineConfig Config;
-    Config.Mode = PipelineMode::CpuOnly;
+    Config.Mode = WriteMode;
     Config.ReadCacheBytes = CacheBytes;
     Config.Metrics = &Metrics;
     Config.Compress.SubBlocks = SubBlocks;
@@ -91,18 +95,21 @@ TEST_F(RestoreFixture, CpuDecodeRoundTrips) {
 }
 
 TEST_F(RestoreFixture, GpuDecodeRoundTripsWithSameBytes) {
+  // The paper's best write mode stores one lane per frame sub-block, so
+  // every compressed chunk it writes decodes on the warp kernel.
+  WriteMode = PipelineMode::GpuCompress;
   write(4 << 20);
   ReadConfig Config;
-  Config.Mode = DecodeMode::Gpu;
+  Config.Mode = DecodeMode::WarpGpu;
   ReadPipeline Reader(*Pipeline, Config);
-  // CPU-only write mode on a GPU platform: the reader brings up its
-  // own device rather than degrading to CPU decode.
-  EXPECT_EQ(Reader.effectiveMode(), DecodeMode::Gpu);
+  EXPECT_EQ(Reader.effectiveMode(), DecodeMode::WarpGpu);
   const auto Restored = Reader.readStream(Pipeline->recipe());
   ASSERT_TRUE(Restored.has_value());
   EXPECT_EQ(*Restored, Data);
   const ReadReport Report = Reader.report();
-  EXPECT_GT(Report.GpuBatches, 0u);
+  EXPECT_GT(Report.WarpBatches, 0u);
+  EXPECT_GT(Report.FramedChunks, 0u);
+  EXPECT_EQ(Report.GpuBatches, 0u);
   EXPECT_GT(Report.GpuBusySec, 0.0);
   EXPECT_GT(Report.PcieBusySec, 0.0);
 }
@@ -110,7 +117,7 @@ TEST_F(RestoreFixture, GpuDecodeRoundTripsWithSameBytes) {
 TEST_F(RestoreFixture, GpuModeDegradesToCpuWithoutDevice) {
   write(1 << 20, 0, 2.0, 2.0, Platform::noGpu());
   ReadConfig Config;
-  Config.Mode = DecodeMode::Gpu;
+  Config.Mode = DecodeMode::WarpGpu;
   ReadPipeline Reader(*Pipeline, Config);
   EXPECT_EQ(Reader.effectiveMode(), DecodeMode::Cpu);
   const auto Restored = Reader.readStream(Pipeline->recipe());
@@ -233,19 +240,16 @@ TEST_F(RestoreFixture, CorruptChunkFailsAndCounts) {
 
 TEST_F(RestoreFixture, ProbeWarpKillsTheLaneCrossover) {
   write(1 << 20);
-  // The lane kernel's launch-latency crossover is still visible in the
-  // probe's per-path makespans: at depth 8 LaunchUs dominates and the
-  // lane path loses to the CPU pool; at depth 256 it wins. But the
-  // warp path (persistent kernel, doorbell dispatch) undercuts the CPU
-  // pool at BOTH depths, so Auto resolves to WarpGpu everywhere — the
-  // decode-v2 headline.
+  // A per-batch LaunchUs gives GPU decode a launch-latency crossover:
+  // shallow batches lose to the CPU pool. The warp path (persistent
+  // kernel, doorbell dispatch) undercuts the CPU pool at BOTH depths,
+  // so Auto resolves to WarpGpu everywhere — the decode-v2 headline.
   ReadConfig Shallow;
   Shallow.Mode = DecodeMode::Auto;
   Shallow.BatchDepth = 8;
   ReadPipeline ShallowReader(*Pipeline, Shallow);
   EXPECT_EQ(ShallowReader.effectiveMode(), DecodeMode::WarpGpu);
   const ReadReport ShallowReport = ShallowReader.report();
-  EXPECT_GT(ShallowReport.ProbeGpuUs, ShallowReport.ProbeCpuUs);
   EXPECT_LT(ShallowReport.ProbeWarpUs, ShallowReport.ProbeCpuUs);
 
   ReadConfig Deep = Shallow;
@@ -253,8 +257,7 @@ TEST_F(RestoreFixture, ProbeWarpKillsTheLaneCrossover) {
   ReadPipeline DeepReader(*Pipeline, Deep);
   EXPECT_EQ(DeepReader.effectiveMode(), DecodeMode::WarpGpu);
   const ReadReport DeepReport = DeepReader.report();
-  EXPECT_LT(DeepReport.ProbeGpuUs, DeepReport.ProbeCpuUs);
-  EXPECT_LT(DeepReport.ProbeWarpUs, DeepReport.ProbeGpuUs);
+  EXPECT_LT(DeepReport.ProbeWarpUs, DeepReport.ProbeCpuUs);
 }
 
 TEST_F(RestoreFixture, ProbeReportsSubBlockRatioDelta) {
@@ -306,10 +309,8 @@ TEST_F(RestoreFixture, WarpDecodeRoundTripsFramedStream) {
   const Gauge *ModeGauge = Metrics.findGauge("padre_read_decode_mode");
   ASSERT_NE(ModeGauge, nullptr);
   EXPECT_EQ(ModeGauge->value(), 2.0);
-  for (const char *Name :
-       {"padre_read_probe_us{mode=\"cpu\"}",
-        "padre_read_probe_us{mode=\"gpu\"}",
-        "padre_read_probe_us{mode=\"warp\"}"}) {
+  for (const char *Name : {"padre_read_probe_us{mode=\"cpu\"}",
+                           "padre_read_probe_us{mode=\"warp\"}"}) {
     const Gauge *Probe = Metrics.findGauge(Name);
     ASSERT_NE(Probe, nullptr) << Name;
     EXPECT_GT(Probe->value(), 0.0) << Name;
@@ -331,8 +332,7 @@ TEST_F(RestoreFixture, FramedStreamDecodesOnCpuBitExact) {
 
 TEST_F(RestoreFixture, UnframedStreamInWarpModeStaysBitExact) {
   // v1 compatibility: a store written without framing decodes under
-  // WarpGpu mode by routing around the warp kernel (lane or CPU) —
-  // never through it.
+  // WarpGpu mode on the CPU pool — never through the warp kernel.
   write(2 << 20);
   ReadConfig Config;
   Config.Mode = DecodeMode::WarpGpu;
@@ -344,6 +344,8 @@ TEST_F(RestoreFixture, UnframedStreamInWarpModeStaysBitExact) {
   const ReadReport Report = Reader.report();
   EXPECT_EQ(Report.WarpBatches, 0u);
   EXPECT_EQ(Report.FramedChunks, 0u);
+  EXPECT_GT(Report.CpuBatches, 0u);
+  EXPECT_EQ(Report.GpuBatches, 0u);
 }
 
 TEST_F(RestoreFixture, WarpAndCpuDecodeSameFramedBytes) {
@@ -363,17 +365,16 @@ TEST_F(RestoreFixture, WarpAndCpuDecodeSameFramedBytes) {
 }
 
 TEST_F(RestoreFixture, MixedFramedUnframedBatchArbitratesPerBatch) {
-  // A store that genuinely mixes framed and unframed GPU-decodable
-  // chunks: the backend splitter's Fixed 0.5 split compresses half of
-  // every batch on the device engine (BlockMethod::GpuLane) and half
-  // on the CPU engine, which frames at SubBlocks=4
-  // (BlockMethod::LzFramed). Under WarpGpu decode the framed chunks go
-  // to the warp kernel and the unframed remainder's route is arbitrated
-  // per batch from that batch's actual composition.
+  // A store that genuinely mixes framed and unframed chunks: the
+  // backend splitter's Fixed 0.5 split compresses half of every batch
+  // on the device engine (BlockMethod::LzFramed, one lane per
+  // sub-block) and half on the CPU engine, which does not frame at
+  // SubBlocks=1 (BlockMethod::QuickLz). Under WarpGpu decode each batch
+  // splits by format: framed chunks to the warp kernel, unframed ones
+  // to the CPU pool.
   PipelineConfig Config;
   Config.Mode = PipelineMode::CpuOnly;
   Config.Metrics = &Metrics;
-  Config.Compress.SubBlocks = 4;
   Config.Backend.Enabled = true;
   Config.Backend.Split = backend::SplitMode::Fixed;
   Config.Backend.Fraction = 0.5;
@@ -381,6 +382,19 @@ TEST_F(RestoreFixture, MixedFramedUnframedBatchArbitratesPerBatch) {
   Pipeline = std::make_unique<ReductionPipeline>(Platform::paper(), Config);
   Pipeline->write(ByteSpan(Data.data(), Data.size()));
   Pipeline->finish();
+
+  // Count the store's framed and unframed compressed chunks.
+  std::uint64_t Framed = 0, Unframed = 0;
+  for (const std::uint64_t Loc : Pipeline->recipe().ChunkLocations) {
+    const auto Block = Pipeline->store().encodedBlock(Loc);
+    ASSERT_TRUE(Block.has_value());
+    const auto View = decodeBlock(*Block);
+    ASSERT_TRUE(View.has_value());
+    Framed += View->Method == BlockMethod::LzFramed;
+    Unframed += View->Method == BlockMethod::QuickLz;
+  }
+  ASSERT_GT(Framed, 0u);
+  ASSERT_GT(Unframed, 0u);
 
   ReadConfig Read;
   Read.Mode = DecodeMode::WarpGpu;
@@ -392,20 +406,15 @@ TEST_F(RestoreFixture, MixedFramedUnframedBatchArbitratesPerBatch) {
 
   const ReadReport Report = Reader.report();
   EXPECT_GT(Report.FramedChunks, 0u);
+  EXPECT_LE(Report.FramedChunks, Framed);
+  EXPECT_LT(Report.FramedChunks, Report.SsdChunks);
   EXPECT_GT(Report.WarpBatches, 0u);
-  EXPECT_GT(Report.MixedBatches, 0u);
-  EXPECT_LE(Report.MixedToLane, Report.MixedBatches);
-  const Counter *Lane =
-      Metrics.findCounter("padre_read_mixed_batches_total{route=\"lane\"}");
-  const Counter *Cpu =
-      Metrics.findCounter("padre_read_mixed_batches_total{route=\"cpu\"}");
-  ASSERT_NE(Lane, nullptr);
-  ASSERT_NE(Cpu, nullptr);
-  EXPECT_EQ(Lane->value() + Cpu->value(), Report.MixedBatches);
-  EXPECT_EQ(Lane->value(), Report.MixedToLane);
+  EXPECT_GT(Report.CpuBatches, 0u);
+  EXPECT_EQ(Report.GpuBatches, 0u);
+  EXPECT_GT(Report.GpuBusySec, 0.0);
 
-  // Either arbitration outcome must stay bit-exact with a plain CPU
-  // decode of the same store.
+  // The split must stay bit-exact with a plain CPU decode of the same
+  // store.
   ReadConfig CpuRead;
   CpuRead.Mode = DecodeMode::Cpu;
   const auto CpuBytes =
@@ -447,15 +456,119 @@ TEST_F(RestoreFixture, CorruptFramedChunkFailsTypedInWarpMode) {
 }
 
 //===----------------------------------------------------------------------===//
+// Legacy images: before lanes wrote the framed format, gpu-compress
+// stored BlockMethod::GpuLane — lane token streams whose match history
+// reached 256 B into the previous lane, concatenated into one unframed
+// stream. Images holding such blocks must keep reading back.
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+/// The retired lane writer: 8 lanes split at ceil(size / 8), each
+/// scanning with 256 B of history into its predecessor's region.
+ByteVector legacyGpuLaneBlock(ByteSpan Chunk) {
+  const LzCodec Codec(LzCodec::MatcherKind::SingleProbe);
+  const std::size_t PerLane = (Chunk.size() + 7) / 8;
+  ByteVector Tokens;
+  for (std::size_t Begin = 0; Begin < Chunk.size(); Begin += PerLane) {
+    const CompressResult Lane = Codec.compressRange(
+        Chunk, Begin, std::min(Chunk.size(), Begin + PerLane), 256);
+    appendBytes(Tokens, ByteSpan(Lane.Payload.data(), Lane.Payload.size()));
+  }
+  return encodeBlock(BlockMethod::GpuLane,
+                     static_cast<std::uint32_t>(Chunk.size()),
+                     ByteSpan(Tokens.data(), Tokens.size()));
+}
+
+/// Rewrites every compressed chunk record of a v3 volume image
+/// (persist/VolumeImage.h) as a legacy GpuLane block and re-seals the
+/// trailer CRC. Returns how many records it rewrote.
+std::size_t rewriteAsLegacyGpuLane(ByteVector &Image) {
+  constexpr std::size_t SuperblockSize = 8 + 4 + 4 + 8 + 8 + 8;
+  constexpr std::size_t RecordHeader = 8 + 4 + 4 + Fingerprint::Size;
+  const std::uint64_t Records = loadLe64(Image.data() + 24);
+  ByteVector Out(Image.begin(), Image.begin() + SuperblockSize);
+  std::size_t Pos = SuperblockSize;
+  std::size_t Rewritten = 0;
+  for (std::uint64_t R = 0; R < Records; ++R) {
+    const std::uint32_t Size = loadLe32(Image.data() + Pos + 8);
+    const ByteSpan Block(Image.data() + Pos + RecordHeader, Size);
+    ByteVector NewBlock(Block.begin(), Block.end());
+    const auto View = decodeBlock(Block);
+    if (View && View->Method != BlockMethod::Raw) {
+      ByteVector Chunk;
+      if (decodeChunkPayload(*View, Chunk)) {
+        NewBlock = legacyGpuLaneBlock(ByteSpan(Chunk.data(), Chunk.size()));
+        ++Rewritten;
+      }
+    }
+    const std::size_t Header = Out.size();
+    Out.insert(Out.end(), Image.begin() + Pos,
+               Image.begin() + Pos + RecordHeader);
+    storeLe32(Out.data() + Header + 8,
+              static_cast<std::uint32_t>(NewBlock.size()));
+    appendBytes(Out, ByteSpan(NewBlock.data(), NewBlock.size()));
+    Pos += RecordHeader + Size;
+  }
+  // Mapping records, snapshot tables and the id counter, verbatim.
+  Out.insert(Out.end(), Image.begin() + Pos, Image.end() - 4);
+  const std::uint32_t Crc = crc32c(ByteSpan(Out.data(), Out.size()));
+  Out.resize(Out.size() + 4);
+  storeLe32(Out.data() + Out.size() - 4, Crc);
+  Image = std::move(Out);
+  return Rewritten;
+}
+
+} // namespace
+
+TEST(RestoreLegacy, GpuLaneBlocksDecodeBitExactInEveryMode) {
+  constexpr std::uint64_t Blocks = 512;
+  const ByteVector Data = makeStream(Blocks * BlockSize);
+  VolumeConfig VolConfig;
+  VolConfig.BlockCount = Blocks;
+  ByteVector Image;
+  {
+    ReductionPipeline Pipe(Platform::paper(), PipelineConfig());
+    Volume Vol(Pipe, VolConfig);
+    ASSERT_TRUE(Vol.writeBlocks(0, ByteSpan(Data.data(), Data.size())));
+    Vol.flush();
+    ASSERT_TRUE(encodeVolumeImage(Vol, Pipe, Image).ok());
+  }
+  ASSERT_GT(rewriteAsLegacyGpuLane(Image), 0u);
+
+  for (const DecodeMode Mode :
+       {DecodeMode::Auto, DecodeMode::Cpu, DecodeMode::WarpGpu}) {
+    SCOPED_TRACE(decodeModeName(Mode));
+    ReductionPipeline Pipe(Platform::paper(), PipelineConfig());
+    Volume Vol(Pipe, VolConfig);
+    ASSERT_TRUE(
+        decodeVolumeImage(ByteSpan(Image.data(), Image.size()), Pipe, Vol)
+            .ok());
+    ReadConfig Config;
+    Config.Mode = Mode;
+    VolumeReader Reader(Vol, Config);
+    const auto Restored = Reader.readBlocks(0, Blocks);
+    ASSERT_TRUE(Restored.has_value());
+    EXPECT_EQ(*Restored, Data);
+    const ReadReport Report = Reader.pipeline().report();
+    EXPECT_EQ(Report.DecodeFailures, 0u);
+    EXPECT_EQ(Report.FramedChunks, 0u);
+    EXPECT_EQ(Report.WarpBatches, 0u);
+    EXPECT_EQ(Report.GpuBatches, 0u);
+    EXPECT_GT(Report.CpuBatches, 0u);
+  }
+}
+
+//===----------------------------------------------------------------------===//
 // Observability reconciliation (the write side's contract, read-side)
 //===----------------------------------------------------------------------===//
 
 namespace {
 
-void expectSpansTileReport(DecodeMode Mode) {
+void expectSpansTileReport(PipelineMode WriteMode, DecodeMode Mode) {
   TraceRecorder Trace;
   PipelineConfig Config;
-  Config.Mode = PipelineMode::CpuOnly;
+  Config.Mode = WriteMode;
   Config.Trace = &Trace;
   const ByteVector Data = makeStream(2 << 20);
   ReductionPipeline Pipeline(Platform::paper(), Config);
@@ -481,16 +594,21 @@ void expectSpansTileReport(DecodeMode Mode) {
               Report.PcieBusySec * 1e6, 1.0);
   EXPECT_NEAR(Trace.laneTotalUs(Resource::Ssd, CategoryStage),
               Report.SsdBusySec * 1e6, 1.0);
+  if (Mode == DecodeMode::WarpGpu) {
+    EXPECT_GT(Report.WarpBatches, 0u);
+    EXPECT_GT(Report.GpuBusySec, 0.0);
+  }
 }
 
 } // namespace
 
 TEST(RestoreObs, CpuSpansTileLaneClocks) {
-  expectSpansTileReport(DecodeMode::Cpu);
+  expectSpansTileReport(PipelineMode::CpuOnly, DecodeMode::Cpu);
 }
 
 TEST(RestoreObs, GpuSpansTileLaneClocks) {
-  expectSpansTileReport(DecodeMode::Gpu);
+  // A gpu-compress store is framed, so the warp kernel decodes it.
+  expectSpansTileReport(PipelineMode::GpuCompress, DecodeMode::WarpGpu);
 }
 
 //===----------------------------------------------------------------------===//

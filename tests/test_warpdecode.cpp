@@ -261,6 +261,34 @@ TEST(GpuWarpDecompressor, PlanIsHeaderOnlyAndFillsTable) {
   EXPECT_GT(Tokens, 0u);
 }
 
+TEST(GpuWarpDecompressor, TokenSwitchesTrackTokenMix) {
+  // Constant data decodes as one literal run plus long matches per
+  // sub-block — few token-kind switches. Mixed data flips between kinds
+  // constantly. The divergence input to gpuWarpSubBlockUs must reflect
+  // that ordering.
+  const LzCodec Codec(LzCodec::MatcherKind::SingleProbe);
+  auto Switches = [&](const ByteVector &Data) {
+    const FramedCompressResult Framed =
+        Codec.compressFramed(ByteSpan(Data.data(), Data.size()), 8);
+    WarpSubBlock Table[MaxSubBlocks];
+    auto Plan = GpuWarpDecompressor::plan(
+        ByteSpan(Framed.Payload.data(), Framed.Payload.size()), Data.size(),
+        std::span<WarpSubBlock>(Table, MaxSubBlocks));
+    EXPECT_TRUE(Plan.has_value());
+    ByteVector Out;
+    EXPECT_TRUE(GpuWarpDecompressor::runWarps(
+        ByteSpan(Framed.Payload.data(), Framed.Payload.size()), *Plan, Out));
+    std::uint64_t Total = 0;
+    for (const WarpSubBlock &Sub : Plan->SubBlocks) {
+      EXPECT_LT(Sub.TokenSwitches, Sub.Tokens);
+      Total += Sub.TokenSwitches;
+    }
+    return Total;
+  };
+  EXPECT_LT(Switches(ByteVector(8192, std::uint8_t{0x42})),
+            Switches(repetitiveData(8192, 7)));
+}
+
 TEST(GpuWarpDecompressor, UndersizedTableRejected) {
   const LzCodec Codec(LzCodec::MatcherKind::HashChain);
   const ByteVector Data = repetitiveData(4096, 32);
@@ -434,14 +462,9 @@ TEST(WarpCostModel, SubBlockCostIsMonotonic) {
   EXPECT_GT(Model.gpuWarpSubBlockUs(64, 4096, 16, 32), Base);
 }
 
-TEST(WarpCostModel, WarpDivergenceIsCheaperThanLockstep) {
-  // The design claim the constants encode: a token-kind switch costs a
-  // warp less than a lockstep wavefront (divergence is contained to
-  // one warp, CODAG §reader/decoder split).
+TEST(WarpCostModel, DoorbellIsFarBelowLaunch) {
+  // The doorbell is far below a full launch — the persistent kernel's
+  // whole reason to exist.
   const CostModel Model;
-  EXPECT_LT(Model.Gpu.WarpDivergencePerTokenNs,
-            Model.Gpu.DecDivergencePerTokenNs);
-  // And the doorbell is far below a full launch — the persistent
-  // kernel's whole reason to exist.
   EXPECT_LT(Model.Gpu.WarpDoorbellUs * 10.0, Model.Gpu.LaunchUs);
 }

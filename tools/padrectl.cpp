@@ -52,7 +52,7 @@
 ///   --seed N         workload seed               (default 42)
 ///   --image PATH     (volume) save/load the volume image here
 ///   --read-batch N   restore batch depth          (default 256)
-///   --read-mode cpu|gpu|warp|auto   restore decode mode (default auto)
+///   --read-mode cpu|warp|auto   restore decode mode (default auto)
 ///   --sub-blocks N   framed sub-blocks per chunk (1 = unframed v1;
 ///                    >1 stores decode-v2 frames the warp mode needs)
 ///   --backends cpu,gpu,gpu2   enable the multi-backend splitter over
@@ -179,7 +179,7 @@ void usage() {
       "fixed|rabin|fastcdc\n"
       "  --threads N  --image PATH  --trace FILE  --trace-ops N\n"
       "  --trace-out FILE.json  --metrics-out FILE.prom\n"
-      "  --read-batch N  --read-mode cpu|gpu|warp|auto  --readahead N\n"
+      "  --read-batch N  --read-mode cpu|warp|auto  --readahead N\n"
       "  --sub-blocks N       framed sub-blocks per chunk (warp decode)\n"
       "  --backends cpu,gpu,gpu2   multi-backend splitter (gpu2 = two\n"
       "      modelled GPUs)  --split auto|cpu|gpu  --tuner-window N\n"
@@ -349,8 +349,6 @@ bool parseArgs(int Argc, char **Argv, Options &Opts) {
     } else if (Arg == "--read-mode" && NextValue(Value)) {
       if (Value == "cpu")
         Opts.ReadMode = restore::DecodeMode::Cpu;
-      else if (Value == "gpu")
-        Opts.ReadMode = restore::DecodeMode::Gpu;
       else if (Value == "warp")
         Opts.ReadMode = restore::DecodeMode::WarpGpu;
       else if (Value == "auto")
@@ -606,10 +604,10 @@ PipelineMode resolveMode(const Options &Opts) {
                 "(pass --mode to override)\n\n");
     return PipelineMode::CpuOnly;
   }
-  // Sub-block framing lives in the CPU compress path (the GPU lane
-  // kernel's streams share history across lane boundaries, so they
-  // cannot be reframed). Calibration would otherwise pick an unframed
-  // GPU store and silently drop the framing the user asked for.
+  // The sub-block count applies on the CPU compress path; the GPU lane
+  // kernel frames one sub-block per lane. Calibration would otherwise
+  // pick a GPU store framed at the lane count, not the count the user
+  // asked for.
   if (Opts.SubBlocks > 1) {
     std::printf("note: --sub-blocks %u frames chunks on the CPU "
                 "compress path; using cpu-only writes (pass --mode to "
@@ -1259,13 +1257,13 @@ int commandTrace(const Options &OptsIn) {
   // the reads.
   const restore::ReadReport ReadStats = Reader.pipeline().report();
   std::printf("restore reads: mode %s, %llu chunks, cache hits %.0f%%, "
-              "coalesced runs %llu, decode batches cpu=%llu gpu=%llu\n",
+              "coalesced runs %llu, decode batches cpu=%llu warp=%llu\n",
               restore::decodeModeName(Reader.pipeline().effectiveMode()),
               static_cast<unsigned long long>(ReadStats.ChunksRequested),
               ReadStats.cacheHitRate() * 100.0,
               static_cast<unsigned long long>(ReadStats.CoalescedRuns),
               static_cast<unsigned long long>(ReadStats.CpuBatches),
-              static_cast<unsigned long long>(ReadStats.GpuBatches));
+              static_cast<unsigned long long>(ReadStats.WarpBatches));
   Faults.summary();
   if (!Obs.write(Opts))
     return 1;
