@@ -153,13 +153,18 @@ TEST(GpuLaneCompressor, BlockIsCompressFramedBlock) {
 
 namespace {
 
+/// (lanes, history bytes, data shape). History is how many bytes of
+/// earlier stream data sit in memory just before the chunk; lanes
+/// reset their match history at every boundary, so none of it may leak
+/// into the block.
 class LaneRoundTrip
-    : public ::testing::TestWithParam<std::tuple<unsigned, int>> {};
+    : public ::testing::TestWithParam<std::tuple<unsigned, std::size_t, int>> {
+};
 
 } // namespace
 
 TEST_P(LaneRoundTrip, RefinedStreamDecodes) {
-  const auto &[Lanes, Shape] = GetParam();
+  const auto &[Lanes, History, Shape] = GetParam();
   GpuLaneConfig Config;
   Config.Lanes = Lanes;
   const GpuLaneCompressor Compressor(Config);
@@ -179,6 +184,17 @@ TEST_P(LaneRoundTrip, RefinedStreamDecodes) {
     Data = repetitiveData(16384, 5);
   }
   expectRefinedRoundTrip(Compressor, Data);
+
+  // The same chunk behind History bytes that repeat its own head: a
+  // matcher that reached back before the chunk would find them, so the
+  // block must be the one the chunk alone gives.
+  ByteVector Stream(Data.begin(), Data.begin() + History);
+  Stream.insert(Stream.end(), Data.begin(), Data.end());
+  const ByteSpan InStream(Stream.data() + History, Data.size());
+  const ByteSpan Alone(Data.data(), Data.size());
+  EXPECT_EQ(GpuLaneCompressor::refine(Compressor.runLanes(InStream), InStream)
+                .Block,
+            GpuLaneCompressor::refine(Compressor.runLanes(Alone), Alone).Block);
 }
 
 namespace {
@@ -186,8 +202,9 @@ namespace {
 std::string laneRoundTripName(
     const ::testing::TestParamInfo<LaneRoundTrip::ParamType> &Info) {
   static const char *Shapes[] = {"random", "mixed", "constant", "big"};
-  return "lanes" + std::to_string(std::get<0>(Info.param)) + "_" +
-         Shapes[std::get<1>(Info.param)];
+  return "lanes" + std::to_string(std::get<0>(Info.param)) + "_hist" +
+         std::to_string(std::get<1>(Info.param)) + "_" +
+         Shapes[std::get<2>(Info.param)];
 }
 
 } // namespace
@@ -195,6 +212,8 @@ std::string laneRoundTripName(
 INSTANTIATE_TEST_SUITE_P(
     Geometry, LaneRoundTrip,
     ::testing::Combine(::testing::Values(1u, 2u, 8u, 32u),
+                       ::testing::Values(std::size_t{0}, std::size_t{256},
+                                         std::size_t{1024}),
                        ::testing::Range(0, 4)),
     laneRoundTripName);
 
