@@ -22,8 +22,7 @@ std::size_t LaneOutputs::totalPayloadBytes() const {
 
 GpuLaneCompressor::GpuLaneCompressor(GpuLaneConfig Config)
     : Config(Config), LaneCodec(LzCodec::MatcherKind::SingleProbe) {
-  assert(Config.Lanes >= 1 && Config.Lanes <= MaxSubBlocks &&
-         "Lane count outside the frame's sub-block range");
+  assert(Config.Lanes >= 1 && "Need at least one lane");
 }
 
 LaneOutputs GpuLaneCompressor::runLanes(ByteSpan Chunk) const {
@@ -31,13 +30,7 @@ LaneOutputs GpuLaneCompressor::runLanes(ByteSpan Chunk) const {
          "Chunk exceeds codec format limit");
   LaneOutputs Outputs;
   Outputs.ChunkSize = Chunk.size();
-  const std::size_t LaneCount =
-      std::min<std::size_t>(Config.Lanes, Chunk.size());
-  Outputs.LaneResults.reserve(LaneCount);
-  for (std::size_t Lane = 0; Lane < LaneCount; ++Lane)
-    Outputs.LaneResults.push_back(LaneCodec.compressRange(
-        Chunk, Chunk.size() * Lane / LaneCount,
-        Chunk.size() * (Lane + 1) / LaneCount, /*HistoryBytes=*/0));
+  Outputs.LaneResults = LaneCodec.compressSubBlocks(Chunk, Config.Lanes);
   return Outputs;
 }
 
@@ -62,20 +55,7 @@ RefinedChunk GpuLaneCompressor::refine(const LaneOutputs &Outputs,
                                 Chunk);
     return Refined;
   }
-
-  std::uint32_t PayloadBytes[MaxSubBlocks];
-  std::uint32_t OutputBytes[MaxSubBlocks];
-  for (unsigned Lane = 0; Lane < Count; ++Lane) {
-    const CompressResult &Result = Outputs.LaneResults[Lane];
-    PayloadBytes[Lane] = static_cast<std::uint32_t>(Result.Payload.size());
-    OutputBytes[Lane] =
-        Result.Stats.LiteralBytes + Result.Stats.MatchBytes;
-  }
-  ByteVector Frame;
-  Frame.reserve(FrameBytes);
-  appendSubBlockHeader(Frame, Count, PayloadBytes, OutputBytes);
-  for (const CompressResult &Lane : Outputs.LaneResults)
-    Frame.insert(Frame.end(), Lane.Payload.begin(), Lane.Payload.end());
+  const ByteVector Frame = frameSubBlocks(Outputs.LaneResults);
   Refined.Block = encodeBlock(BlockMethod::LzFramed,
                               static_cast<std::uint32_t>(Chunk.size()),
                               ByteSpan(Frame.data(), Frame.size()));

@@ -37,7 +37,7 @@ namespace padre {
 /// Kernel geometry.
 struct GpuLaneConfig {
   /// Device threads assigned per chunk, one frame sub-block each
-  /// (1..MaxSubBlocks).
+  /// (at least 1; counts above MaxSubBlocks run MaxSubBlocks lanes).
   unsigned Lanes = 8;
 };
 
@@ -62,19 +62,20 @@ struct RefinedChunk {
 };
 
 /// Lane-parallel LZ compressor (kernel body + post-processing).
-/// Stateless; safe to share between threads. For every chunk,
-/// `refine(runLanes(Chunk), Chunk).Block` is the block
+/// Stateless; safe to share between threads. Whenever the frame beats
+/// raw storage, `refine(runLanes(Chunk), Chunk).Block` is the block
 /// `LzCodec(SingleProbe).compressFramed(Chunk, Lanes)` frames.
 class GpuLaneCompressor {
 public:
   explicit GpuLaneCompressor(GpuLaneConfig Config = GpuLaneConfig());
 
-  /// The kernel body: compresses every lane of \p Chunk functionally,
-  /// splitting it at `size * i / lanes` (the compressFramed split).
+  /// The kernel body: compresses every lane of \p Chunk functionally —
+  /// LzCodec::compressSubBlocks, the split compressFramed uses.
   /// \p Chunk must be at most LzCodec::MaxInputSize bytes.
   LaneOutputs runLanes(ByteSpan Chunk) const;
 
-  /// CPU post-processing: frames \p Outputs into one LzFramed block.
+  /// CPU post-processing: frames \p Outputs into one LzFramed block
+  /// (frameSubBlocks, the writer compressFramed uses).
   /// \p Chunk is the original data (needed for the store-raw fallback).
   static RefinedChunk refine(const LaneOutputs &Outputs, ByteSpan Chunk);
 

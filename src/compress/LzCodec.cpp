@@ -272,40 +272,39 @@ CompressResult LzCodec::compressRange(ByteSpan Chunk, std::size_t Begin,
   return Result;
 }
 
+std::vector<CompressResult>
+LzCodec::compressSubBlocks(ByteSpan Input, unsigned SubBlocks) const {
+  const auto Count = std::min<std::size_t>(
+      std::clamp(SubBlocks, 1u, MaxSubBlocks), Input.size());
+  std::vector<CompressResult> Streams;
+  Streams.reserve(Count);
+  for (std::size_t I = 0; I < Count; ++I)
+    Streams.push_back(compressRange(Input, Input.size() * I / Count,
+                                    Input.size() * (I + 1) / Count,
+                                    /*HistoryBytes=*/0));
+  return Streams;
+}
+
 FramedCompressResult LzCodec::compressFramed(ByteSpan Input,
                                              unsigned SubBlocks) const {
   assert(!Input.empty() && "Framed compression needs a non-empty chunk");
   assert(Input.size() <= MaxInputSize && "Chunk exceeds format limit");
-  const unsigned Count = static_cast<unsigned>(std::min<std::size_t>(
-      std::clamp(SubBlocks, 1u, MaxSubBlocks), Input.size()));
+  const std::vector<CompressResult> Streams =
+      compressSubBlocks(Input, SubBlocks);
+  const auto Count = static_cast<unsigned>(Streams.size());
+  // The u16 header entry cannot describe a worst-case-expanded stream
+  // above ~64 KiB of input; a finer split always can (a 32 KiB half
+  // expands to at most ~33 KB). Only reachable at Count == 1 over a
+  // near-incompressible full-size chunk.
+  for (const CompressResult &Sub : Streams)
+    if (Sub.Payload.size() > MaxSubBlockPayload)
+      return compressFramed(Input, Count * 2);
 
   FramedCompressResult Result;
   Result.SubBlockCount = Count;
-
-  // Even split by output bytes; each sub-block compresses with zero
-  // history so its distances never reach across the boundary.
-  ByteVector Streams;
-  std::uint32_t PayloadBytes[MaxSubBlocks];
-  std::uint32_t OutputBytes[MaxSubBlocks];
-  for (unsigned I = 0; I < Count; ++I) {
-    const std::size_t Begin = Input.size() * I / Count;
-    const std::size_t End = Input.size() * (I + 1) / Count;
-    CompressResult Sub = compressRange(Input, Begin, End, /*HistoryBytes=*/0);
-    // The u16 header entry cannot describe a worst-case-expanded
-    // stream above ~64 KiB of input; a finer split always can (a
-    // 32 KiB half expands to at most ~33 KB). Only reachable at
-    // Count == 1 over a near-incompressible full-size chunk.
-    if (Sub.Payload.size() > MaxSubBlockPayload)
-      return compressFramed(Input, Count * 2);
-    PayloadBytes[I] = static_cast<std::uint32_t>(Sub.Payload.size());
-    OutputBytes[I] = static_cast<std::uint32_t>(End - Begin);
-    Streams.insert(Streams.end(), Sub.Payload.begin(), Sub.Payload.end());
+  for (const CompressResult &Sub : Streams)
     Result.Stats.merge(Sub.Stats);
-  }
-
-  Result.Payload.reserve(subBlockHeaderSize(Count) + Streams.size());
-  appendSubBlockHeader(Result.Payload, Count, PayloadBytes, OutputBytes);
-  Result.Payload.insert(Result.Payload.end(), Streams.begin(), Streams.end());
+  Result.Payload = frameSubBlocks(Streams);
   return Result;
 }
 

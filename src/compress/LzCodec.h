@@ -29,6 +29,7 @@
 #include "util/Bytes.h"
 
 #include <cstdint>
+#include <vector>
 
 namespace padre {
 
@@ -101,13 +102,19 @@ public:
                                std::size_t End,
                                std::size_t HistoryBytes) const;
 
+  /// The sub-block streams of the v2 framed format: \p Input split
+  /// into \p SubBlocks near-equal pieces at `size * i / n`, each
+  /// compressed with zero history, in order. The count is clamped to
+  /// [1, MaxSubBlocks] and to the input size (an empty input gives no
+  /// streams).
+  std::vector<CompressResult> compressSubBlocks(ByteSpan Input,
+                                                unsigned SubBlocks) const;
+
   /// Compresses \p Input into the v2 framed format (see
-  /// compress/SubBlockFrame.h): the chunk is split into \p SubBlocks
-  /// near-equal pieces, each compressed with the match history reset at
-  /// its boundary (HistoryBytes = 0), so every sub-block's token stream
-  /// is an independently-decodable LZ stream. The count is clamped to
-  /// [1, MaxSubBlocks] and to the input size; the ratio cost of the
-  /// reset is the measured tradeoff of the two-level scheme.
+  /// compress/SubBlockFrame.h): compressSubBlocks' streams, framed by
+  /// frameSubBlocks. The history reset at every boundary makes each
+  /// sub-block's token stream an independently-decodable LZ stream; its
+  /// ratio cost is the measured tradeoff of the two-level scheme.
   FramedCompressResult compressFramed(ByteSpan Input,
                                       unsigned SubBlocks) const;
 

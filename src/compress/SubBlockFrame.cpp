@@ -61,24 +61,32 @@ padre::parseSubBlockFrame(ByteSpan Payload, std::uint32_t OriginalSize) {
   return View;
 }
 
-void padre::appendSubBlockHeader(ByteVector &Out, unsigned Count,
-                                 const std::uint32_t *PayloadBytes,
-                                 const std::uint32_t *OutputBytes) {
+ByteVector padre::frameSubBlocks(std::span<const CompressResult> SubBlocks) {
+  const auto Count = static_cast<unsigned>(SubBlocks.size());
   assert(Count >= 1 && Count <= MaxSubBlocks && "Sub-block count out of range");
-  const std::size_t Base = Out.size();
-  Out.resize(Base + subBlockHeaderSize(Count));
-  Out[Base] = SubBlockFrameMagic;
-  Out[Base + 1] = SubBlockFrameVersion;
-  Out[Base + 2] = static_cast<std::uint8_t>(Count);
-  Out[Base + 3] = 0;
+  std::size_t StreamBytes = 0;
+  for (const CompressResult &Sub : SubBlocks)
+    StreamBytes += Sub.Payload.size();
+  ByteVector Out(subBlockHeaderSize(Count));
+  Out.reserve(Out.size() + StreamBytes);
+  Out[0] = SubBlockFrameMagic;
+  Out[1] = SubBlockFrameVersion;
+  Out[2] = static_cast<std::uint8_t>(Count);
+  Out[3] = 0;
   for (unsigned I = 0; I < Count; ++I) {
-    assert(PayloadBytes[I] >= 1 && PayloadBytes[I] <= MaxSubBlockPayload &&
+    const std::size_t PayloadBytes = SubBlocks[I].Payload.size();
+    const std::size_t OutputBytes =
+        SubBlocks[I].Stats.LiteralBytes + SubBlocks[I].Stats.MatchBytes;
+    assert(PayloadBytes >= 1 && PayloadBytes <= MaxSubBlockPayload &&
            "Sub-block payload outside the u16 header range");
-    assert(OutputBytes[I] >= 1 && OutputBytes[I] <= LzCodec::MaxInputSize &&
+    assert(OutputBytes >= 1 && OutputBytes <= LzCodec::MaxInputSize &&
            "Sub-block output outside the format range");
-    storeLe16(Out.data() + Base + 4 + 4 * I,
-              static_cast<std::uint16_t>(PayloadBytes[I]));
-    storeLe16(Out.data() + Base + 4 + 4 * I + 2,
-              static_cast<std::uint16_t>(OutputBytes[I] - 1));
+    storeLe16(Out.data() + 4 + 4 * I,
+              static_cast<std::uint16_t>(PayloadBytes));
+    storeLe16(Out.data() + 4 + 4 * I + 2,
+              static_cast<std::uint16_t>(OutputBytes - 1));
   }
+  for (const CompressResult &Sub : SubBlocks)
+    Out.insert(Out.end(), Sub.Payload.begin(), Sub.Payload.end());
+  return Out;
 }

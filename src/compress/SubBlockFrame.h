@@ -38,8 +38,11 @@
 
 #include <cstdint>
 #include <optional>
+#include <span>
 
 namespace padre {
+
+struct CompressResult;
 
 inline constexpr std::uint8_t SubBlockFrameMagic = 0x5B;
 inline constexpr std::uint8_t SubBlockFrameVersion = 2;
@@ -84,12 +87,12 @@ struct SubBlockFrameView {
 std::optional<SubBlockFrameView> parseSubBlockFrame(ByteSpan Payload,
                                                     std::uint32_t OriginalSize);
 
-/// Serialises a frame header for \p Count sub-blocks into \p Out
-/// (caller appends the token streams afterwards). \p PayloadBytes /
-/// \p OutputBytes are Count-length arrays.
-void appendSubBlockHeader(ByteVector &Out, unsigned Count,
-                          const std::uint32_t *PayloadBytes,
-                          const std::uint32_t *OutputBytes);
+/// Frames \p SubBlocks — one LZ token stream per sub-block, in chunk
+/// order — as a framed payload: the header, then the streams. Each
+/// sub-block's output size is the bytes its tokens cover (literal +
+/// match bytes). The one writer of the format: LzCodec::compressFramed
+/// and the GPU lane refinement both frame through it.
+ByteVector frameSubBlocks(std::span<const CompressResult> SubBlocks);
 
 } // namespace padre
 

@@ -206,8 +206,9 @@ void CompressEngine::compressRangeGpu(std::span<const ChunkView> Chunks,
     }
 
     // CPU post-processing across the pool (§3.2(2)-(3): "the GPU
-    // performs compression and the CPU is used for refinement"). The
-    // entropy stage never runs here: every block is LzFramed or Raw,
+    // performs compression and the CPU is used for refinement"),
+    // charged over the lane streams the device returned. The entropy
+    // stage never runs here: every block is LzFramed or Raw,
     // and a Huffman wrap would hide the frame (the compressRangeCpu
     // rule).
     Pool.parallelForSlices(
@@ -223,7 +224,7 @@ void CompressEngine::compressRangeGpu(std::span<const ChunkView> Chunks,
                 GpuLaneCompressor::refine(DeviceResults[I], Data);
             const double Us =
                 OnDevice ? Model.cpuPostprocessUs(
-                               Refined.Block.size() - BlockHeaderSize,
+                               DeviceResults[I].totalPayloadBytes(),
                                Refined.StoredRaw)
                          : Model.cpuCompressUs(Refined.Stats.LiteralBytes,
                                                Refined.Stats.MatchBytes);

@@ -60,10 +60,13 @@ struct CpuCosts {
   double LzSetupUs = 20.0;
   double LzLiteralPerByteNs = 26.9;
   double LzMatchPerByteNs = 17.8;
-  /// Post-processing (refinement) of a GPU-compressed chunk: merging
-  /// lane outputs into the canonical stream.
+  /// Post-processing (refinement) of a GPU-compressed chunk: a fixed
+  /// per-chunk cost plus a per-byte cost over the lane token streams
+  /// the device returns. The frame header refinement writes in front of
+  /// them is O(lanes), built from the lane table, and falls in the
+  /// setup.
   double PostSetupUs = 14.5;
-  double PostPerByteNs = 3.9; ///< per compressed output byte
+  double PostPerByteNs = 3.9; ///< per lane token-stream byte
   /// Post-processing when the GPU result fell back to store-raw.
   double StoreRawPostUs = 5.0;
   /// LZ decompression (read path), per original byte.
@@ -252,8 +255,8 @@ struct CostModel {
   }
 
   /// CPU post-processing (refinement) cost for a GPU-compressed chunk
-  /// whose output payload is \p CompressedBytes; \p StoredRaw selects
-  /// the cheap fallback path.
+  /// whose lane token streams total \p CompressedBytes; \p StoredRaw
+  /// selects the cheap fallback path.
   double cpuPostprocessUs(std::size_t CompressedBytes, bool StoredRaw) const {
     if (StoredRaw)
       return Cpu.StoreRawPostUs;

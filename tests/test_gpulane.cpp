@@ -16,6 +16,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
 #include <tuple>
 
@@ -153,13 +154,19 @@ TEST(GpuLaneCompressor, BlockIsCompressFramedBlock) {
 
 namespace {
 
-/// (lanes, history bytes, data shape). History is how many bytes of
-/// earlier stream data sit in memory just before the chunk; lanes
-/// reset their match history at every boundary, so none of it may leak
-/// into the block.
+/// (lanes, history bytes, data shape). History H is a repeat placed
+/// at every lane boundary: the lane's first bytes copy the bytes H
+/// before them, a match only a lane whose history reached H bytes
+/// into its neighbour could take (with one lane, the repeat sits in
+/// the middle of the chunk and is an in-lane match). Both framed
+/// decoders decode each sub-block on its own, so a block that used
+/// such a match fails the round trip.
 class LaneRoundTrip
     : public ::testing::TestWithParam<std::tuple<unsigned, std::size_t, int>> {
 };
+
+/// Lane heads repeat up to this many bytes from H bytes back.
+constexpr std::size_t RepeatBytes = 64;
 
 } // namespace
 
@@ -183,18 +190,30 @@ TEST_P(LaneRoundTrip, RefinedStreamDecodes) {
   default:
     Data = repetitiveData(16384, 5);
   }
+  const std::size_t Sites = std::max(Lanes, 2u);
+  for (std::size_t I = 1; History != 0 && I < Sites; ++I) {
+    const std::size_t Boundary = Data.size() * I / Sites;
+    const std::size_t Take =
+        std::min({RepeatBytes, History, Data.size() / Sites});
+    if (Boundary >= History)
+      std::copy_n(Data.begin() + (Boundary - History), Take,
+                  Data.begin() + Boundary);
+  }
   expectRefinedRoundTrip(Compressor, Data);
 
-  // The same chunk behind History bytes that repeat its own head: a
-  // matcher that reached back before the chunk would find them, so the
-  // block must be the one the chunk alone gives.
-  ByteVector Stream(Data.begin(), Data.begin() + History);
-  Stream.insert(Stream.end(), Data.begin(), Data.end());
-  const ByteSpan InStream(Stream.data() + History, Data.size());
-  const ByteSpan Alone(Data.data(), Data.size());
-  EXPECT_EQ(GpuLaneCompressor::refine(Compressor.runLanes(InStream), InStream)
-                .Block,
-            GpuLaneCompressor::refine(Compressor.runLanes(Alone), Alone).Block);
+  // And the block is the CPU framed compressor's block for that data.
+  const ByteSpan Chunk(Data.data(), Data.size());
+  const RefinedChunk Refined =
+      GpuLaneCompressor::refine(Compressor.runLanes(Chunk), Chunk);
+  if (Refined.StoredRaw)
+    return;
+  const FramedCompressResult Framed =
+      LzCodec(LzCodec::MatcherKind::SingleProbe).compressFramed(Chunk, Lanes);
+  EXPECT_EQ(Refined.Block,
+            encodeBlock(BlockMethod::LzFramed,
+                        static_cast<std::uint32_t>(Data.size()),
+                        ByteSpan(Framed.Payload.data(),
+                                 Framed.Payload.size())));
 }
 
 namespace {
@@ -216,6 +235,28 @@ INSTANTIATE_TEST_SUITE_P(
                                          std::size_t{1024}),
                        ::testing::Range(0, 4)),
     laneRoundTripName);
+
+TEST(GpuLaneCompressor, LaneCountClampsToFrameLimit) {
+  // More lanes than a frame has sub-blocks run as MaxSubBlocks lanes,
+  // the clamp compressFramed applies.
+  GpuLaneConfig Config;
+  Config.Lanes = 64;
+  const GpuLaneCompressor Compressor(Config);
+  const ByteVector Data = repetitiveData(4096, 14);
+  const ByteSpan Chunk(Data.data(), Data.size());
+  const LaneOutputs Outputs = Compressor.runLanes(Chunk);
+  EXPECT_EQ(Outputs.LaneResults.size(), MaxSubBlocks);
+  const RefinedChunk Refined = GpuLaneCompressor::refine(Outputs, Chunk);
+  ASSERT_FALSE(Refined.StoredRaw);
+  const FramedCompressResult Framed =
+      LzCodec(LzCodec::MatcherKind::SingleProbe).compressFramed(Chunk, 64);
+  EXPECT_EQ(Refined.Block,
+            encodeBlock(BlockMethod::LzFramed,
+                        static_cast<std::uint32_t>(Data.size()),
+                        ByteSpan(Framed.Payload.data(),
+                                 Framed.Payload.size())));
+  expectRefinedRoundTrip(Compressor, Data);
+}
 
 TEST(GpuLaneCompressor, IncompressibleFallsBackToRaw) {
   const GpuLaneCompressor Compressor;

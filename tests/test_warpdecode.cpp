@@ -309,25 +309,19 @@ TEST(GpuWarpDecompressor, CrossSubBlockDistanceRejected) {
   const LzCodec Codec(LzCodec::MatcherKind::HashChain);
   const ByteVector Data(512, std::uint8_t{0x42});
   // Sub-block 1: the constant run compressed standalone.
-  const CompressResult Legit =
-      Codec.compress(ByteSpan(Data.data(), Data.size()));
-  // Sub-block 2: one literal + a match whose distance (2) is fine, then
-  // rebuild with a distance that reaches before the sub-block (600 >
-  // its own output).
-  ByteVector Evil;
-  Evil.push_back(std::uint8_t{0});    // literal run, length 1
-  Evil.push_back(std::uint8_t{0xAA}); // the literal
-  Evil.push_back(std::uint8_t{0x80}); // match, length 4
-  Evil.push_back(std::uint8_t{88});   // distance lo: 600 = 0x258
-  Evil.push_back(std::uint8_t{2});    // distance hi
-  const std::uint32_t PayloadBytes[2] = {
-      static_cast<std::uint32_t>(Legit.Payload.size()),
-      static_cast<std::uint32_t>(Evil.size())};
-  const std::uint32_t OutputBytes[2] = {512, 5};
-  ByteVector Framed;
-  appendSubBlockHeader(Framed, 2, PayloadBytes, OutputBytes);
-  appendBytes(Framed, ByteSpan(Legit.Payload.data(), Legit.Payload.size()));
-  appendBytes(Framed, ByteSpan(Evil.data(), Evil.size()));
+  CompressResult SubBlocks[2];
+  SubBlocks[0] = Codec.compress(ByteSpan(Data.data(), Data.size()));
+  // Sub-block 2: one literal + a match of length 4 whose distance (600)
+  // reaches before the sub-block (600 > its own output).
+  CompressResult &Evil = SubBlocks[1];
+  Evil.Payload.push_back(std::uint8_t{0});    // literal run, length 1
+  Evil.Payload.push_back(std::uint8_t{0xAA}); // the literal
+  Evil.Payload.push_back(std::uint8_t{0x80}); // match, length 4
+  Evil.Payload.push_back(std::uint8_t{88});   // distance lo: 600 = 0x258
+  Evil.Payload.push_back(std::uint8_t{2});    // distance hi
+  Evil.Stats.LiteralBytes = 1;
+  Evil.Stats.MatchBytes = 4;
+  const ByteVector Framed = frameSubBlocks(SubBlocks);
 
   bool Ok = true;
   const ByteVector Out = warpDecode(Framed, 517, &Ok);
