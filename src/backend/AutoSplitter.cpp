@@ -49,18 +49,14 @@ AutoSplitter::AutoSplitter(const Setup &S)
   Config.GpuDevices = std::max(1u, Config.GpuDevices);
   Config.TunerWindow = std::max(1u, Config.TunerWindow);
   Alpha = 2.0 / (static_cast<double>(Config.TunerWindow) + 1.0);
-  Cpu = std::make_unique<CpuBackend>(S.Model, S.Ledger, S.Pool, S.Engine,
-                                     S.Obs);
+  Cpu = std::make_unique<CpuBackend>(S.Model, S.Ledger, S.Pool,
+                                     S.Compress, S.Obs);
   if (Config.Split != SplitMode::CpuOnly) {
     assert(S.Primary && S.Primary->present() &&
            "Device-capable split modes need the pipeline's GPU");
-    if (Config.GpuDevices >= 2)
-      Dev = std::make_unique<MultiGpuBackend>(S.Model, S.Ledger, S.Pool,
-                                              *S.Primary, S.Engine, S.Obs,
-                                              S.Faults, Config.GpuDevices);
-    else
-      Dev = std::make_unique<GpuBackend>(S.Model, S.Ledger, S.Pool,
-                                         *S.Primary, S.Engine, S.Obs);
+    Dev = std::make_unique<GpuBackend>(S.Model, S.Ledger, S.Pool,
+                                       *S.Primary, S.Compress, S.Obs,
+                                       S.Faults, Config.GpuDevices);
   }
   if (S.Obs.Metrics) {
     obs::MetricsRegistry &M = *S.Obs.Metrics;

@@ -16,10 +16,12 @@
 /// pipelined at sub-batch granularity (one slice record per kernel
 /// round trip), the splitter's pipeline-depth lever.
 ///
-/// Forced modes (CpuOnly / GpuOnly with one device) are exact
-/// pass-throughs: results, recipes, ledger charges and the scheduled
-/// timeline are bit-identical to the classic single-backend stage —
-/// the correctness bar tests/test_backend.cpp holds the splitter to.
+/// Every pipeline's compress stage runs here. Without an explicit
+/// PipelineConfig::Backend the split is forced from the integration
+/// mode (§4(3)): CpuOnly and GpuDedup compress on the CPU backend,
+/// GpuCompress and GpuBoth on the GPU backend. tests/test_backend.cpp
+/// pins those forced splits to golden figures, and every interior
+/// split point to the same results and recipes.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -28,7 +30,6 @@
 
 #include "backend/CpuBackend.h"
 #include "backend/GpuBackend.h"
-#include "backend/MultiGpuBackend.h"
 #include "fault/FaultInjector.h"
 
 #include <memory>
@@ -62,7 +63,7 @@ public:
     ThreadPool &Pool;
     BatchScheduler &Sched;
     GpuDevice *Primary = nullptr;
-    CompressEngineConfig Engine;
+    CompressEngineConfig Compress;
     obs::ObsSinks Obs;
     fault::FaultInjector *Faults = nullptr;
     BackendConfig Config;
@@ -70,12 +71,11 @@ public:
 
   explicit AutoSplitter(const Setup &S);
 
-  /// The compress stage under the splitter: partitions \p Chunks,
-  /// executes the slices functionally (charging the ledger), replays
-  /// them via BatchScheduler::endStageCompressSliced, and feeds the
-  /// observed slice rates back to the tuner. Replaces the
-  /// compressBatch + endStage(Compress) pair — the caller must still
-  /// bracket with beginStage(Compress).
+  /// The compress stage: partitions \p Chunks, executes the slices
+  /// functionally (charging the ledger), replays them via
+  /// BatchScheduler::endStageCompressSliced, and feeds the observed
+  /// slice rates back to the tuner. The caller opens the stage with
+  /// beginStage(Compress).
   void runCompressStage(std::span<const ChunkView> Chunks,
                         std::vector<CompressedChunk> &Out);
 
@@ -87,9 +87,9 @@ public:
     return Dev ? Dev->caps().DeviceCount : 0;
   }
 
-  /// Store-raw fallbacks / device-fault CPU re-compressions across all
-  /// backend engines (the splitter-mode sources of the pipeline
-  /// report's fallback counters).
+  /// Store-raw fallbacks / device-fault CPU re-compressions across both
+  /// backends (the sources of the pipeline report's fallback
+  /// counters).
   std::uint64_t rawFallbacks() const {
     return Cpu->rawFallbacks() + (Dev ? Dev->rawFallbacks() : 0);
   }

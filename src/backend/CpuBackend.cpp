@@ -7,23 +7,27 @@
 
 #include "backend/CpuBackend.h"
 
+#include "compress/Block.h"
+#include "compress/ChunkCodec.h"
+
+#include <cassert>
+
 using namespace padre;
 using namespace padre::backend;
 
-static CompressEngineConfig cpuConfig(CompressEngineConfig Engine) {
-  Engine.Backend = CompressBackend::Cpu;
-  return Engine;
-}
-
 CpuBackend::CpuBackend(const CostModel &Model, ResourceLedger &Ledger,
-                       ThreadPool &Pool, CompressEngineConfig Engine,
+                       ThreadPool &Pool, const CompressEngineConfig &Config,
                        const obs::ObsSinks &Obs)
-    : Model(Model), Ledger(Ledger),
-      Engine(Model, Ledger, Pool, /*Device=*/nullptr, cpuConfig(Engine),
-             Obs) {
+    : Model(Model), Ledger(Ledger), Pool(Pool), Config(Config),
+      Codec(Config.CpuMatcher, Config.CpuOptions) {
+  assert(isValidCostModel(Model) && "Invalid cost model");
   Caps.Name = "cpu";
   Caps.SpanName = "backend:cpu";
   Caps.DeviceCount = 0;
+  if (Obs.Metrics)
+    RawFallbackCounter = &Obs.Metrics->counter(
+        "padre_compress_raw_fallback_total",
+        "Chunks stored raw because compression did not pay");
 }
 
 double CpuBackend::quoteCompressUs(std::uint64_t Bytes,
@@ -40,13 +44,80 @@ void CpuBackend::executeSlice(
     std::span<const ChunkView> Chunks, std::size_t Begin, std::size_t End,
     std::vector<CompressedChunk> &Out,
     std::vector<BatchScheduler::CompressSlice> &Slices, bool) {
+  assert(Out.size() == Chunks.size() && "Out must be pre-sized");
+  assert(Begin <= End && End <= Chunks.size() && "Bad slice bounds");
   if (Begin >= End)
     return;
   // Attribution by busy snapshot: the splitter runs slices
   // sequentially on the pipeline thread, so the pool delta across this
   // call is exactly this slice's charge.
   const double CpuBeforeUs = Ledger.busyMicros(Resource::CpuPool);
-  Engine.compressSlice(Chunks, Begin, End, Out);
+  // One codec call per chunk, chunk-parallel across the pool.
+  Pool.parallelForSlices(
+      Begin, End,
+      [&](std::size_t SliceBegin, std::size_t SliceEnd, unsigned) {
+        double Micros = 0.0;
+        std::uint64_t Raw = 0;
+        for (std::size_t I = SliceBegin; I < SliceEnd; ++I) {
+          const ByteSpan Data = Chunks[I].Data;
+          const bool Framed = Config.SubBlocks > 1 && !Data.empty();
+          CompressResult Result;
+          if (Framed) {
+            FramedCompressResult FramedResult =
+                Codec.compressFramed(Data, Config.SubBlocks);
+            Result.Payload = std::move(FramedResult.Payload);
+            Result.Stats = FramedResult.Stats;
+          } else {
+            Result = Codec.compress(Data);
+          }
+          const double CompressUs = Model.cpuCompressUs(
+              Result.Stats.LiteralBytes, Result.Stats.MatchBytes);
+          Micros += CompressUs;
+          CompressedChunk &Chunk = Out[I];
+          Chunk.LatencyUs = CompressUs;
+          Chunk.Stats = Result.Stats;
+          if (Result.Payload.size() >= Data.size()) {
+            Chunk.StoredRaw = true;
+            ++Raw;
+            Chunk.Block = encodeBlock(
+                BlockMethod::Raw, static_cast<std::uint32_t>(Data.size()),
+                Data);
+            continue;
+          }
+          if (Framed) {
+            Chunk.Block = encodeBlock(
+                BlockMethod::LzFramed,
+                static_cast<std::uint32_t>(Data.size()),
+                ByteSpan(Result.Payload.data(), Result.Payload.size()));
+            continue;
+          }
+          // Optional entropy stage over the token stream.
+          if (Config.EntropyStage) {
+            const double HuffUs = Model.Cpu.HuffmanPerByteNs * 1e-3 *
+                                  static_cast<double>(Result.Payload.size());
+            Micros += HuffUs;
+            Chunk.LatencyUs += HuffUs;
+            if (auto Entropy = entropyEncodeTokens(ByteSpan(
+                    Result.Payload.data(), Result.Payload.size()))) {
+              Chunk.Block = encodeBlock(
+                  BlockMethod::LzHuff,
+                  static_cast<std::uint32_t>(Data.size()),
+                  ByteSpan(Entropy->data(), Entropy->size()));
+              continue;
+            }
+          }
+          Chunk.Block = encodeBlock(
+              Config.CpuMatcher == LzCodec::MatcherKind::HashChain
+                  ? BlockMethod::Lz77
+                  : BlockMethod::QuickLz,
+              static_cast<std::uint32_t>(Data.size()),
+              ByteSpan(Result.Payload.data(), Result.Payload.size()));
+        }
+        Ledger.chargeMicros(Resource::CpuPool, Micros);
+        RawFallbacks.fetch_add(Raw, std::memory_order_relaxed);
+        if (RawFallbackCounter)
+          RawFallbackCounter->add(Raw);
+      });
   BatchScheduler::CompressSlice Slice;
   Slice.CpuUs = Ledger.busyMicros(Resource::CpuPool) - CpuBeforeUs;
   Slices.push_back(std::move(Slice));

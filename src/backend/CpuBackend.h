@@ -1,11 +1,12 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The CPU-pool backend: wraps a Cpu-mode CompressEngine (one codec
-/// call per chunk across the pool, §3.2(1)) behind ReductionBackend.
-/// Its slice record carries no device ops — just the pool time it
-/// charged — so a full-batch slice replays bit-identically to the
-/// classic CpuOnly compress stage.
+/// The CPU-pool backend (§3.2(1)): "the compute is parallelized by the
+/// CPU by assigning a computing thread that runs the previously
+/// studied compression algorithm to each chunk" — one QuickLZ-class
+/// codec call per chunk across the pool, store-raw when compression
+/// does not pay. Its slice record carries no device ops, just the pool
+/// time it charged.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -13,17 +14,21 @@
 #define PADRE_BACKEND_CPUBACKEND_H
 
 #include "backend/ReductionBackend.h"
+#include "obs/Obs.h"
+#include "util/ThreadPool.h"
+
+#include <atomic>
 
 namespace padre {
 namespace backend {
 
 class CpuBackend final : public ReductionBackend {
 public:
-  /// \p Engine is the base engine configuration (matcher, entropy
-  /// stage, sub-block framing); its Backend field is forced to Cpu.
+  /// \p Config is the codec configuration (matcher, entropy stage,
+  /// sub-block framing). \p Obs sinks are optional.
   CpuBackend(const CostModel &Model, ResourceLedger &Ledger,
-             ThreadPool &Pool, CompressEngineConfig Engine,
-             const obs::ObsSinks &Obs);
+             ThreadPool &Pool, const CompressEngineConfig &Config,
+             const obs::ObsSinks &Obs = obs::ObsSinks());
 
   const BackendCaps &caps() const override { return Caps; }
   double quoteCompressUs(std::uint64_t Bytes,
@@ -33,14 +38,18 @@ public:
                     std::vector<BatchScheduler::CompressSlice> &Slices,
                     bool Pipelined) override;
   std::uint64_t rawFallbacks() const override {
-    return Engine.rawFallbacks();
+    return RawFallbacks.load();
   }
 
 private:
   CostModel Model;
   ResourceLedger &Ledger;
-  CompressEngine Engine;
+  ThreadPool &Pool;
+  CompressEngineConfig Config;
+  LzCodec Codec;
   BackendCaps Caps;
+  std::atomic<std::uint64_t> RawFallbacks{0};
+  obs::Counter *RawFallbackCounter = nullptr; ///< null = disabled
 };
 
 } // namespace backend

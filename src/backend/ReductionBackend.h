@@ -1,10 +1,11 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The portable reduction-backend interface — the new layer between the
-/// compression engines and the batch scheduler (DESIGN.md decision 17).
-/// A backend wraps one parallel execution substrate (the CPU pool, the
-/// modelled GPU, or N modelled GPUs) behind three operations:
+/// The portable reduction-backend interface — the compress stage's one
+/// execution layer, between the pipeline's splitter and the batch
+/// scheduler (DESIGN.md decision 17). A backend is one parallel
+/// execution substrate (the CPU pool, or N >= 1 modelled GPUs) behind
+/// three operations:
 ///
 ///   * caps()             — static capabilities (name, device count),
 ///   * quoteCompressUs()  — a modelled cost quote from the static
@@ -18,9 +19,9 @@
 ///
 /// Slice ownership: the splitter owns the full batch's output vector
 /// and hands each backend a [Begin, End) range; backends write only
-/// their range, so slices compose into exactly the single-engine
-/// output no matter how the batch was partitioned (the bit-exactness
-/// bar of tests/test_backend.cpp).
+/// their range, so slices compose into exactly the output of one
+/// backend running the whole batch, no matter how the batch was
+/// partitioned (the bit-exactness bar of tests/test_backend.cpp).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -28,8 +29,8 @@
 #define PADRE_BACKEND_REDUCTIONBACKEND_H
 
 #include "backend/BackendConfig.h"
+#include "chunk/Chunker.h"
 #include "core/BatchScheduler.h"
-#include "core/CompressEngine.h"
 
 #include <cstdint>
 #include <span>
@@ -71,17 +72,16 @@ public:
   /// for the scheduler's timeline replay. \p Out must be pre-sized to
   /// Chunks.size(). With \p Pipelined the backend may emit one record
   /// per device sub-batch so refinement overlaps later kernels; without
-  /// it the slice is one record — the forced-{0,1} pass-through modes
-  /// rely on that to reproduce the classic timeline bit-exactly.
-  /// Device faults are absorbed per sub-batch (CPU re-compression), so
-  /// results are bit-exact either way.
+  /// it the slice is one record per device — the shape the forced and
+  /// fixed splits replay. Device faults are absorbed per sub-batch (CPU
+  /// re-compression), so results are bit-exact either way.
   virtual void
   executeSlice(std::span<const ChunkView> Chunks, std::size_t Begin,
                std::size_t End, std::vector<CompressedChunk> &Out,
                std::vector<BatchScheduler::CompressSlice> &Slices,
                bool Pipelined) = 0;
 
-  /// Cumulative store-raw fallbacks across this backend's engines.
+  /// Cumulative store-raw fallbacks of this backend.
   virtual std::uint64_t rawFallbacks() const = 0;
 
   /// Cumulative device-fault CPU re-compressions (0 for pure CPU).

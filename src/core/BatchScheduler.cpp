@@ -79,11 +79,9 @@ void BatchScheduler::beginStage(Stage) {
   Ssd.setOpLog(&SsdOps);
 }
 
-double BatchScheduler::replayGpuOps(double ReadyUs, bool UseStaging,
-                                    double &PcieUsedUs, double &GpuUsedUs) {
-  GpuStagingModel *Staging =
-      (UseStaging && Device) ? &Device->staging() : nullptr;
-  return replayOps(GpuOps, ReadyUs, Staging,
+double BatchScheduler::replayGpuOps(double ReadyUs, double &PcieUsedUs,
+                                    double &GpuUsedUs) {
+  return replayOps(GpuOps, ReadyUs, /*Staging=*/nullptr,
                    static_cast<unsigned>(Resource::Gpu),
                    static_cast<unsigned>(Resource::Pcie), PcieUsedUs,
                    GpuUsedUs);
@@ -232,9 +230,7 @@ void BatchScheduler::endStage(Stage S) {
                                         "pipe:index-lock"));
     // Dedup GPU offload (gpu-dedup/gpu-both): sub-batch chains of
     // H2D -> indexing kernel -> D2H, no compression staging involved.
-    DoneUs = std::fmax(
-        DoneUs, replayGpuOps(ReadyUs, /*UseStaging=*/false, PcieOpsUs,
-                             GpuOpsUs));
+    DoneUs = std::fmax(DoneUs, replayGpuOps(ReadyUs, PcieOpsUs, GpuOpsUs));
     // Mid-batch bin drains append to the sequential log: queued on the
     // SSD lane in issue order (before any later destage — lane FIFO
     // preserves the drain-before-destage order), but they do not gate
@@ -244,22 +240,9 @@ void BatchScheduler::endStage(Stage S) {
     DedupDoneUs = DoneUs;
     break;
   }
-  case Stage::Compress: {
-    const double ReadyUs = DedupDoneUs;
-    // GPU path: the async queue with double-buffered staging.
-    const double GpuDoneUs =
-        replayGpuOps(ReadyUs, /*UseStaging=*/true, PcieOpsUs, GpuOpsUs);
-    // CPU work: either the whole compression (cpu modes) starting at
-    // dedup-done, or the refine/post-process pass, which consumes the
-    // kernels' device results and so follows the GPU chain.
-    const double CpuReadyUs = GpuOps.empty() ? ReadyUs : GpuDoneUs;
-    const double CpuDoneUs = schedule(
-        Resource::CpuPool, CpuReadyUs,
-        DeltaUs[static_cast<unsigned>(Resource::CpuPool)] / CpuThreads,
-        "pipe:compress", /*Backfill=*/true);
-    CompressDoneUs = std::fmax(ReadyUs, std::fmax(GpuDoneUs, CpuDoneUs));
+  case Stage::Compress:
+    assert(false && "The compress stage closes with endStageCompressSliced");
     break;
-  }
   case Stage::Destage: {
     const double ReadyUs = CompressDoneUs;
     double DoneUs = ReadyUs;
@@ -284,7 +267,7 @@ void BatchScheduler::endStage(Stage S) {
     schedule(Resource::CpuPool, 0.0,
              DeltaUs[static_cast<unsigned>(Resource::CpuPool)] / CpuThreads,
              "pipe:drain");
-    replayGpuOps(0.0, /*UseStaging=*/false, PcieOpsUs, GpuOpsUs);
+    replayGpuOps(0.0, PcieOpsUs, GpuOpsUs);
     for (const double Op : SsdOps)
       schedule(Resource::Ssd, 0.0, Op, "pipe:log-write");
     break;

@@ -82,7 +82,8 @@ public:
   void beginBatch();
 
   /// Brackets one functional stage of the current batch. endStage
-  /// replays everything the stage charged onto the timeline.
+  /// replays everything the stage charged onto the timeline; the
+  /// compress stage closes with endStageCompressSliced instead.
   void beginStage(Stage S);
   void endStage(Stage S);
 
@@ -104,14 +105,14 @@ public:
     double ElapsedUs = 0.0; ///< DoneUs minus the stage's ready time
   };
 
-  /// endStage(Compress) for a stage the splitter partitioned across
+  /// Closes the compress stage the splitter partitioned across
   /// backends: every slice becomes ready at dedup-done simultaneously
   /// (HPDR's domain decomposition — the domains are independent) and
   /// replays onto its own device lanes; the stage completes when the
-  /// last slice does. Single-slice calls reproduce endStage(Compress)
-  /// exactly: a pure-CPU slice is one backfilled pool task, a
-  /// device-0 slice is the same staged H2D->kernel->D2H chain with
-  /// the refine pass after it. Residual charges the slices do not
+  /// last slice does. A CPU slice is one backfilled pool task; a
+  /// device slice is its staged H2D->kernel->D2H chain with the refine
+  /// pass after it. No slices (a raw or compression-off batch) closes
+  /// the stage at dedup-done. Residual charges the slices do not
   /// attribute are still replayed losslessly, so per-resource
   /// scheduled totals equal busy totals at every split point.
   void endStageCompressSliced(std::span<CompressSlice> Slices);
@@ -149,13 +150,13 @@ public:
   void reset();
 
 private:
-  /// Replays the GPU op log captured by the current stage: H2D on the
-  /// PCIe lane (gated by a staging slot when \p UseStaging), the
-  /// kernel it feeds on the GPU lane, D2H back on PCIe. Returns the
-  /// completion time of the last replayed op (\p ReadyUs when the log
-  /// is empty) and accumulates the per-lane time it scheduled.
-  double replayGpuOps(double ReadyUs, bool UseStaging, double &PcieUsedUs,
-                      double &GpuUsedUs);
+  /// Replays the GPU op log captured by the current stage (dedup
+  /// offload, bin-table drains): H2D on the PCIe lane, the kernel it
+  /// feeds on the GPU lane, D2H back on PCIe — no staging slots, those
+  /// belong to compression. Returns the completion time of the last
+  /// replayed op (\p ReadyUs when the log is empty) and accumulates the
+  /// per-lane time it scheduled.
+  double replayGpuOps(double ReadyUs, double &PcieUsedUs, double &GpuUsedUs);
 
   /// The lane-general core of replayGpuOps: replays \p Ops onto
   /// \p GpuLane / \p PcieLane (resource or aux device lanes), uploads

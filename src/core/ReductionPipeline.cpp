@@ -44,14 +44,21 @@ ReductionPipeline::ReductionPipeline(const Platform &Platform,
   }
   }
 
-  // The backend framework's device-capable split modes need the
-  // primary GPU even when the classic Mode is CpuOnly.
-  const bool BackendWantsGpu =
-      Config.Backend.Enabled && Config.CompressEnabled &&
-      Config.Backend.Split != backend::SplitMode::CpuOnly;
-  const bool WantsGpu = modeOffloadsDedup(Config.Mode) ||
-                        modeOffloadsCompression(Config.Mode) ||
-                        BackendWantsGpu;
+  // The compress stage's split: explicit, or forced from the mode.
+  backend::BackendConfig SplitConfig;
+  if (Config.Backend)
+    SplitConfig = *Config.Backend;
+  else
+    SplitConfig.Split = modeOffloadsCompression(Config.Mode)
+                            ? backend::SplitMode::GpuOnly
+                            : backend::SplitMode::CpuOnly;
+  // Device-capable split modes need the primary GPU even when the mode
+  // is CpuOnly.
+  const bool WantsGpu =
+      modeOffloadsDedup(Config.Mode) ||
+      modeOffloadsCompression(Config.Mode) ||
+      (Config.CompressEnabled &&
+       SplitConfig.Split != backend::SplitMode::CpuOnly);
   assert((!WantsGpu || Platform.Model.Gpu.Present) &&
          "GPU mode selected on a GPU-less platform");
   if (Platform.Model.Gpu.Present && WantsGpu) {
@@ -80,14 +87,6 @@ ReductionPipeline::ReductionPipeline(const Platform &Platform,
                                           Ssd, Device.get(), DedupConfig,
                                           Obs);
 
-  CompressEngineConfig CompressConfig = Config.Compress;
-  CompressConfig.Backend = modeOffloadsCompression(Config.Mode)
-                               ? CompressBackend::GpuLane
-                               : CompressBackend::Cpu;
-  if (Config.CompressEnabled)
-    Compress = std::make_unique<CompressEngine>(
-        Platform.Model, Ledger, Pool, Device.get(), CompressConfig, Obs);
-
   if (Config.ReadCacheBytes != 0) {
     Cache = std::make_unique<ChunkCache>(Config.ReadCacheBytes);
     Cache->setObs(Config.Metrics);
@@ -98,14 +97,14 @@ ReductionPipeline::ReductionPipeline(const Platform &Platform,
       std::max<std::size_t>(1, Config.PipelineDepth), Device.get(), Ssd,
       Config.Trace);
 
-  if (Config.Backend.Enabled && Config.CompressEnabled) {
+  if (Config.CompressEnabled) {
     // The splitter keeps a reference to the model: hand it the member
     // copy, not the (possibly temporary) constructor argument.
     backend::AutoSplitter::Setup Setup{Plat.Model,   Ledger,
                                        Pool,         *Sched,
                                        Device.get(), Config.Compress,
                                        Obs,          Config.Faults,
-                                       Config.Backend};
+                                       SplitConfig};
     Splitter = std::make_unique<backend::AutoSplitter>(Setup);
   }
 
@@ -387,23 +386,16 @@ ReductionPipeline::processBatch(std::span<const ChunkView> Chunks,
   const std::span<const ChunkView> UniqueViews =
       UniqueViewsStorage.first(UniqueCount);
 
-  // Stage 2: compression of unique chunks (Fig. 1 lower half). With
-  // the backend framework enabled the splitter partitions the batch
-  // across backends and replays its own per-slice timeline; otherwise
-  // the single engine runs and the scheduler replays the whole stage.
+  // Stage 2: compression of unique chunks (Fig. 1 lower half). The
+  // splitter partitions the batch across the backends and replays its
+  // own per-slice timeline; raw writes and compression-off pipelines
+  // store every chunk raw, which charges nothing.
   std::vector<CompressedChunk> Compressed;
   Sched->beginStage(BatchScheduler::Stage::Compress);
-  bool SlicedReplay = false;
   {
     const obs::StageSpan Stage(Config.Trace, Ledger, "compress");
     if (Splitter && !Raw) {
       Splitter->runCompressStage(UniqueViews, Compressed);
-      SlicedReplay = true;
-    } else if (Compress && !Raw) {
-      Compress->compressBatch(
-          std::span<const ChunkView>(UniqueViews.data(),
-                                     UniqueViews.size()),
-          Compressed);
     } else {
       Compressed.resize(UniqueViews.size());
       for (std::size_t I = 0; I < UniqueViews.size(); ++I) {
@@ -413,10 +405,9 @@ ReductionPipeline::processBatch(std::span<const ChunkView> Chunks,
             BlockMethod::Raw, static_cast<std::uint32_t>(Data.size()),
             Data);
       }
+      Sched->endStageCompressSliced({});
     }
   }
-  if (!SlicedReplay)
-    Sched->endStage(BatchScheduler::Stage::Compress);
 
   // Stage 3: destage — one coalesced sequential write per batch. With
   // the FTL enabled the same stream also carries the per-chunk extent
@@ -693,8 +684,7 @@ void ReductionPipeline::resetMeasurement() {
   DupChunks = DupFromBuffer = DupFromTree = DupFromGpu = 0;
   VerifyMismatches = 0;
   StoredBytes = 0;
-  RawFallbackBase = Splitter ? Splitter->rawFallbacks()
-                             : (Compress ? Compress->rawFallbacks() : 0);
+  RawFallbackBase = Splitter ? Splitter->rawFallbacks() : 0;
   LatencyHist = Histogram(20000.0, 2000);
 }
 
@@ -714,9 +704,7 @@ PipelineReport ReductionPipeline::report() const {
                              static_cast<double>(UniqueBytes);
   Report.StoredBytes = StoredBytes;
   Report.RawFallbacks =
-      (Splitter ? Splitter->rawFallbacks()
-                : (Compress ? Compress->rawFallbacks() : 0)) -
-      RawFallbackBase;
+      (Splitter ? Splitter->rawFallbacks() : 0) - RawFallbackBase;
   Report.CompressRatio =
       StoredBytes == 0 ? 1.0
                        : static_cast<double>(UniqueBytes) /

@@ -29,7 +29,6 @@
 #include "core/BatchScheduler.h"
 #include "core/ChunkCache.h"
 #include "core/ChunkStore.h"
-#include "core/CompressEngine.h"
 #include "core/DedupEngine.h"
 #include "core/Report.h"
 #include "fault/FaultInjector.h"
@@ -110,16 +109,14 @@ struct PipelineConfig {
   /// model tracks every destaged chunk's pages and write amplification
   /// becomes a measured output (DESIGN.md decision 14).
   std::optional<ssd::FtlConfig> Ftl;
-  /// Multi-backend reduction framework (src/backend, DESIGN.md
-  /// decision 17). Disabled (the default) keeps the single-engine
-  /// compress stage bit-exactly; enabled, the compress stage routes
-  /// through the AutoSplitter's backend partition — forced CpuOnly /
-  /// GpuOnly splits reproduce the classic stage bit-identically
-  /// (results, recipes, charges, timeline), Auto tunes the split per
-  /// batch, and GpuDevices >= 2 adds modelled GPUs with their own
-  /// staging/queue lanes. Requires CompressEnabled; device-capable
-  /// split modes require a GPU-present platform.
-  backend::BackendConfig Backend;
+  /// How the compress stage's AutoSplitter partitions each batch
+  /// across the CPU and GPU backends (src/backend, DESIGN.md decision
+  /// 17). Unset (the default), the split is forced from Mode: CpuOnly
+  /// and GpuDedup compress on the CPU backend, GpuCompress and GpuBoth
+  /// on one GPU. Set, it picks the split policy (Auto tunes it per
+  /// batch) and the modelled GPU count. Device-capable split modes
+  /// require a GPU-present platform.
+  std::optional<backend::BackendConfig> Backend;
 
   PipelineConfig() {
     Dedup.Index.BinBits = 10;
@@ -258,10 +255,10 @@ public:
   ResourceLedger &ledger() { return Ledger; }
   const BatchScheduler &scheduler() const { return *Sched; }
   ThreadPool &pool() { return Pool; }
-  /// The backend splitter (null unless Config.Backend.Enabled).
+  /// The compress stage's splitter (null when CompressEnabled is off).
   const backend::AutoSplitter *splitter() const { return Splitter.get(); }
   /// Modelled GPU devices in play — the capacity term of the report's
-  /// makespan (1 without the multi-GPU backend).
+  /// makespan (1 unless the GPU backend drives more).
   unsigned gpuDeviceCount() const;
   const SsdModel &ssd() const { return Ssd; }
   SsdModel &ssd() { return Ssd; }
@@ -283,7 +280,6 @@ private:
   SsdModel Ssd;
   ChunkStore Store;
   std::unique_ptr<DedupEngine> Dedup;
-  std::unique_ptr<CompressEngine> Compress;
   std::unique_ptr<ChunkCache> Cache;
   std::unique_ptr<BatchScheduler> Sched;
   std::unique_ptr<backend::AutoSplitter> Splitter;

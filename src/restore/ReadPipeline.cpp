@@ -395,7 +395,7 @@ void ReadPipeline::decodeCpu(const std::vector<BatchItem *> &Items) {
   if (CpuBatchesTotal)
     CpuBatchesTotal->add(1);
   // Chunk-parallel across the pool, the read-side mirror of
-  // CompressEngine::compressBatchCpu: each slice decodes its chunks
+  // CpuBackend::executeSlice: each slice decodes its chunks
   // functionally and charges its accumulated modelled time once.
   Pipe.pool().parallelForSlices(
       0, Items.size(), [&](std::size_t Begin, std::size_t End, unsigned) {

@@ -2,14 +2,14 @@
 ///
 /// \file
 /// Multi-backend splitter property tests (ctest -L backend). The
-/// correctness bar for src/backend: the forced split endpoints must be
-/// exact pass-throughs of the classic single-backend stage (results,
-/// recipes, ledger charges and the scheduled timeline bit-identical),
-/// every interior split point must keep results and recipes
-/// bit-identical to the serial oracle, the tuner must be deterministic
-/// under replay, charges must not depend on the modelled device count,
-/// and fault plans must drain the overlap window with bit-exact
-/// CPU-fallback results.
+/// correctness bar for src/backend: every integration mode's forced
+/// split must reproduce the golden figures of the single-engine
+/// compress stage it replaced (stored bytes, ledger charges, the
+/// scheduled timeline and latency percentiles), every interior split
+/// point must keep results and recipes bit-identical to the serial
+/// oracle, the tuner must be deterministic under replay, charges must
+/// not depend on the modelled device count, and fault plans must drain
+/// the overlap window with bit-exact CPU-fallback results.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -22,6 +22,7 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -38,22 +39,25 @@ ByteVector makeStream(std::uint64_t Bytes, std::uint64_t Seed = 91) {
   return VdbenchStream(Config).generateAll();
 }
 
-PipelineConfig classicConfig(PipelineMode Mode) {
+/// A pipeline whose split is forced from \p Mode (no explicit
+/// PipelineConfig::Backend).
+PipelineConfig modeConfig(PipelineMode Mode, std::size_t Depth = 4) {
   PipelineConfig Config;
   Config.Mode = Mode;
   Config.Dedup.Index.BinBits = 8;
   Config.Dedup.Index.BufferCapacityPerBin = 8;
-  Config.PipelineDepth = 4;
+  Config.PipelineDepth = Depth;
   return Config;
 }
 
 PipelineConfig backendConfig(backend::SplitMode Split, double Fraction = 1.0,
-                             unsigned GpuDevices = 1) {
-  PipelineConfig Config = classicConfig(PipelineMode::CpuOnly);
-  Config.Backend.Enabled = true;
-  Config.Backend.Split = Split;
-  Config.Backend.Fraction = Fraction;
-  Config.Backend.GpuDevices = GpuDevices;
+                             unsigned GpuDevices = 1, std::size_t Depth = 4) {
+  PipelineConfig Config = modeConfig(PipelineMode::CpuOnly, Depth);
+  backend::BackendConfig Backend;
+  Backend.Split = Split;
+  Backend.Fraction = Fraction;
+  Backend.GpuDevices = GpuDevices;
+  Config.Backend = Backend;
   return Config;
 }
 
@@ -66,6 +70,7 @@ struct RunResult {
   std::array<double, ResourceCount> SchedUs{};
   double WallUs = 0.0;
   double MakespanSec = 0.0;
+  std::uint64_t KernelLaunches = 0;
   PipelineReport Report;
   backend::SplitterStats Stats;
 };
@@ -79,6 +84,7 @@ RunResult runOnce(const PipelineConfig &Config, const ByteVector &Data) {
   Result.Report = Pipeline.report();
   Result.StoredBytes = Result.Report.StoredBytes;
   Result.MakespanSec = Result.Report.MakespanSec;
+  Result.KernelLaunches = Result.Report.KernelLaunches;
   for (unsigned R = 0; R < ResourceCount; ++R) {
     Result.BusyUs[R] = Pipeline.ledger().busyMicros(static_cast<Resource>(R));
     Result.SchedUs[R] =
@@ -119,29 +125,120 @@ void expectBitIdentical(const RunResult &Oracle, const RunResult &Candidate) {
 
 constexpr double Fractions[] = {0.0, 0.25, 0.5, 0.75, 1.0};
 
+/// What the single-engine compress stage (one CompressEngine per
+/// pipeline, replayed by endStage(Compress)) produced for one
+/// integration mode on makeStream(8 MiB) with modeConfig — recorded
+/// before that stage folded into the splitter, printed at %.17g. Every
+/// figure but the wall is the same at depth 1 and 4.
+struct ClassicGolden {
+  std::uint64_t StoredBytes;
+  double BusyUs[ResourceCount];
+  double SchedUs[ResourceCount];
+  double WallUs[2]; ///< at PipelineDepth 1 and 4
+  double LatencyP50Us;
+  double LatencyP99Us;
+  std::uint64_t RawFallbacks;
+  std::uint64_t KernelLaunches;
+};
+
+constexpr ClassicGolden CpuOnlyGolden = {
+    2153563,
+    {186056.02900000001, 0, 0, 12135.211000000001, 0},
+    {23257.003625000001, 0, 0, 12135.21037499999, 0},
+    {35082.089000000036, 29089.313999999998},
+    39.874638379942141,
+    165.64255319148936,
+    0,
+    0};
+
+constexpr ClassicGolden GpuDedupGolden = {
+    2153563,
+    {171639.09700000001, 11613.583000000001, 1980.704, 12135.211000000001,
+     0},
+    {21454.887125000001, 11613.583000000001, 1980.7039999999956,
+     12135.21037499999, 0},
+    {38830.595200000229, 27297.017899999999},
+    109.82363315696648,
+    239.55185995623634,
+    0,
+    148};
+
+constexpr ClassicGolden GpuCompressGolden = {
+    2240459,
+    {97081.173999999999, 9391.237000000001, 831.11900000000003, 12406.76, 0},
+    {12135.14675, 9391.2367999999988, 831.11787500000003, 12406.760374999987,
+     0},
+    {34454.136800000007, 23629.465049999995},
+    39.874638379942141,
+    1448.7609022556389,
+    0,
+    8};
+
+constexpr ClassicGolden GpuBothGolden = {
+    2240459,
+    {90944.389999999999, 18703.25, 2051.4079999999999, 12406.76, 0},
+    {11368.04875, 18703.253919999985, 2051.4068749999983, 12406.760374999987,
+     0},
+    {36992.240460000037, 26388.878669999973},
+    139.45378151260505,
+    1925.7023255813954,
+    0,
+    72};
+
+/// Asserts \p Run (at \p Depth) reproduces \p Golden exactly.
+void expectGolden(const ClassicGolden &Golden, std::size_t Depth,
+                  const RunResult &Run) {
+  SCOPED_TRACE("depth " + std::to_string(Depth));
+  EXPECT_EQ(Run.StoredBytes, Golden.StoredBytes);
+  for (unsigned R = 0; R < ResourceCount; ++R) {
+    SCOPED_TRACE(resourceName(static_cast<Resource>(R)));
+    EXPECT_DOUBLE_EQ(Run.BusyUs[R], Golden.BusyUs[R]);
+    EXPECT_DOUBLE_EQ(Run.SchedUs[R], Golden.SchedUs[R]);
+  }
+  EXPECT_DOUBLE_EQ(Run.WallUs, Golden.WallUs[Depth == 1 ? 0 : 1]);
+  EXPECT_DOUBLE_EQ(Run.Report.LatencyP50Us, Golden.LatencyP50Us);
+  EXPECT_DOUBLE_EQ(Run.Report.LatencyP99Us, Golden.LatencyP99Us);
+  EXPECT_EQ(Run.Report.RawFallbacks, Golden.RawFallbacks);
+  EXPECT_EQ(Run.KernelLaunches, Golden.KernelLaunches);
+}
+
+/// Runs \p Mode at depth 1 and 4 (split forced from the mode) and, when
+/// given, the equivalent explicit \p Split, against \p Golden.
+void expectModeGolden(PipelineMode Mode, const ClassicGolden &Golden,
+                      std::optional<backend::SplitMode> Split) {
+  const ByteVector Data = makeStream(8ull << 20);
+  for (const std::size_t Depth : {std::size_t(1), std::size_t(4)}) {
+    const RunResult FromMode = runOnce(modeConfig(Mode, Depth), Data);
+    EXPECT_EQ(FromMode.ReadBack, Data);
+    expectGolden(Golden, Depth, FromMode);
+    if (Split)
+      expectGolden(Golden, Depth,
+                   runOnce(backendConfig(*Split, 1.0, 1, Depth), Data));
+  }
+}
+
 } // namespace
 
 //===----------------------------------------------------------------------===//
-// Pass-through endpoints: forced modes vs the classic stage
+// Forced splits: every integration mode vs the single-engine goldens
 //===----------------------------------------------------------------------===//
 
 TEST(BackendPassThrough, CpuOnlyBitIdenticalToClassicCpu) {
-  const ByteVector Data = makeStream(8ull << 20);
-  const RunResult Classic = runOnce(classicConfig(PipelineMode::CpuOnly), Data);
-  EXPECT_EQ(Classic.ReadBack, Data);
-  const RunResult Forced =
-      runOnce(backendConfig(backend::SplitMode::CpuOnly), Data);
-  expectBitIdentical(Classic, Forced);
+  expectModeGolden(PipelineMode::CpuOnly, CpuOnlyGolden,
+                   backend::SplitMode::CpuOnly);
 }
 
 TEST(BackendPassThrough, GpuOnlyBitIdenticalToClassicGpuCompress) {
-  const ByteVector Data = makeStream(8ull << 20);
-  const RunResult Classic =
-      runOnce(classicConfig(PipelineMode::GpuCompress), Data);
-  EXPECT_EQ(Classic.ReadBack, Data);
-  const RunResult Forced =
-      runOnce(backendConfig(backend::SplitMode::GpuOnly), Data);
-  expectBitIdentical(Classic, Forced);
+  expectModeGolden(PipelineMode::GpuCompress, GpuCompressGolden,
+                   backend::SplitMode::GpuOnly);
+}
+
+TEST(BackendPassThrough, GpuDedupBitIdenticalToClassicGpuDedup) {
+  expectModeGolden(PipelineMode::GpuDedup, GpuDedupGolden, std::nullopt);
+}
+
+TEST(BackendPassThrough, GpuBothBitIdenticalToClassicGpuBoth) {
+  expectModeGolden(PipelineMode::GpuBoth, GpuBothGolden, std::nullopt);
 }
 
 TEST(BackendPassThrough, FixedEndpointsMatchForcedModes) {
@@ -160,7 +257,7 @@ TEST(BackendPassThrough, FixedEndpointsMatchForcedModes) {
 
 TEST(BackendSplit, ResultsBitIdenticalAtEveryFraction) {
   const ByteVector Data = makeStream(8ull << 20);
-  const RunResult Oracle = runOnce(classicConfig(PipelineMode::CpuOnly), Data);
+  const RunResult Oracle = runOnce(modeConfig(PipelineMode::CpuOnly), Data);
   ASSERT_EQ(Oracle.ReadBack, Data);
   for (const unsigned Devices : {1u, 2u}) {
     for (const double Fraction : Fractions) {
@@ -175,7 +272,7 @@ TEST(BackendSplit, ResultsBitIdenticalAtEveryFraction) {
 
 TEST(BackendSplit, AutoModeResultsMatchOracle) {
   const ByteVector Data = makeStream(8ull << 20);
-  const RunResult Oracle = runOnce(classicConfig(PipelineMode::CpuOnly), Data);
+  const RunResult Oracle = runOnce(modeConfig(PipelineMode::CpuOnly), Data);
   for (const unsigned Devices : {1u, 2u}) {
     SCOPED_TRACE("devices " + std::to_string(Devices));
     const RunResult Auto = runOnce(
@@ -242,11 +339,40 @@ TEST(BackendMultiGpu, ComputeMakespanScalesWithDevices) {
   Config.DedupEnabled = false;
   Config.BatchChunks = 2048;
   const RunResult One = runOnce(Config, Data);
-  Config.Backend.GpuDevices = 2;
+  Config.Backend->GpuDevices = 2;
   const RunResult Two = runOnce(Config, Data);
   expectSameResults(One, Two);
   ASSERT_GT(Two.MakespanSec, 0.0);
   EXPECT_GE(One.MakespanSec / Two.MakespanSec, 1.5);
+}
+
+TEST(BackendMultiGpu, PipelinedSubBatchesMatchOneGpu) {
+  // Deep batches under Auto: each batch spans more compression
+  // sub-batches than devices, so every device replays several
+  // per-sub-batch records on its own lanes. On this stream the 2-GPU
+  // tuner routes every chunk to the devices, so charges must equal a
+  // forced single-GPU run of the same batches.
+  const ByteVector Data = makeStream(8ull << 20);
+  PipelineConfig Config = backendConfig(backend::SplitMode::GpuOnly);
+  Config.BatchChunks = 1024;
+  const RunResult One = runOnce(Config, Data);
+  Config.Backend->Split = backend::SplitMode::Auto;
+  Config.Backend->GpuDevices = 2;
+  const RunResult Two = runOnce(Config, Data);
+  ASSERT_EQ(Two.Stats.CpuChunks, 0u);
+  EXPECT_GT(Two.KernelLaunches, 2 * Two.Stats.Batches);
+  expectSameResults(One, Two);
+  EXPECT_EQ(One.StoredBytes, Two.StoredBytes);
+  EXPECT_EQ(One.KernelLaunches, Two.KernelLaunches);
+  const unsigned Threads = Platform::paper().Model.Cpu.Threads;
+  for (unsigned R = 0; R < ResourceCount; ++R) {
+    SCOPED_TRACE(resourceName(static_cast<Resource>(R)));
+    EXPECT_DOUBLE_EQ(One.BusyUs[R], Two.BusyUs[R]);
+    // Lossless replay across the aux device lanes.
+    const double Width =
+        R == static_cast<unsigned>(Resource::CpuPool) ? Threads : 1.0;
+    EXPECT_NEAR(Two.SchedUs[R], Two.BusyUs[R] / Width, 1.0);
+  }
 }
 
 //===----------------------------------------------------------------------===//
@@ -289,7 +415,7 @@ TEST(BackendTuner, ObservesRatesAndRoutesWork) {
 TEST(BackendTuner, WindowClampAndConfigSurvive) {
   const ByteVector Data = makeStream(2ull << 20);
   PipelineConfig Config = backendConfig(backend::SplitMode::Auto);
-  Config.Backend.TunerWindow = 0; // clamps to 1 (pure last-batch rate)
+  Config.Backend->TunerWindow = 0; // clamps to 1 (pure last-batch rate)
   ReductionPipeline Pipeline(Platform::paper(), Config);
   ASSERT_TRUE(Pipeline.write(ByteSpan(Data.data(), Data.size())).ok());
   ASSERT_TRUE(Pipeline.finish().ok());
@@ -310,7 +436,7 @@ void runBackendFaultDrain(const char *PlanSpec, unsigned Devices) {
   std::string Error;
   ASSERT_TRUE(fault::parseFaultPlan(PlanSpec, Plan, Error)) << Error;
   const ByteVector Data = makeStream(4ull << 20);
-  const RunResult Clean = runOnce(classicConfig(PipelineMode::CpuOnly), Data);
+  const RunResult Clean = runOnce(modeConfig(PipelineMode::CpuOnly), Data);
   fault::FaultInjector Injector(Plan);
   PipelineConfig Config =
       backendConfig(backend::SplitMode::Auto, 1.0, Devices);

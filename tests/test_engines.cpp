@@ -1,21 +1,23 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Tests for the dedup and compression engines: functional correctness
-/// of both backends, ledger charging, GPU offload mechanics, flush
+/// Tests for the dedup engine and the two compress backends: functional
+/// correctness, ledger charging, GPU offload mechanics, flush
 /// side-effects, and the adaptive offload controller.
 ///
 //===----------------------------------------------------------------------===//
 
+#include "backend/CpuBackend.h"
+#include "backend/GpuBackend.h"
 #include "compress/ChunkCodec.h"
-#include "core/CompressEngine.h"
-
-#include <cstring>
 #include "core/DedupEngine.h"
 #include "util/Random.h"
 #include "workload/VdbenchStream.h"
 
 #include <gtest/gtest.h>
+
+#include <cstring>
+#include <memory>
 
 using namespace padre;
 
@@ -232,33 +234,47 @@ TEST_F(EngineFixture, AdaptiveOffloadStaysWithinBounds) {
 }
 
 //===----------------------------------------------------------------------===//
-// CompressEngine — both backends
+// Compress backends — CPU pool and GPU lanes
 //===----------------------------------------------------------------------===//
 
 namespace {
 
+/// Runs every chunk of \p Chunks through \p Backend as one unpipelined
+/// slice, the way a forced split drives it.
+std::vector<CompressedChunk> compressAll(backend::ReductionBackend &Backend,
+                                         std::span<const ChunkView> Chunks) {
+  std::vector<CompressedChunk> Out(Chunks.size());
+  std::vector<BatchScheduler::CompressSlice> Slices;
+  Backend.executeSlice(Chunks, 0, Chunks.size(), Out, Slices,
+                       /*Pipelined=*/false);
+  return Out;
+}
+
+/// Which compress backend a parameterized case drives.
+enum class EngineKind { Cpu, GpuLane };
+
 class BackendTest : public EngineFixture,
-                    public ::testing::WithParamInterface<CompressBackend> {
+                    public ::testing::WithParamInterface<EngineKind> {
 protected:
   std::unique_ptr<GpuDevice> Device;
 
-  CompressEngine makeEngine() {
-    CompressEngineConfig Config;
-    Config.Backend = GetParam();
-    if (GetParam() == CompressBackend::GpuLane)
-      Device = std::make_unique<GpuDevice>(Model, Ledger);
-    return CompressEngine(Model, Ledger, Pool, Device.get(), Config);
+  std::unique_ptr<backend::ReductionBackend> makeBackend() {
+    if (GetParam() == EngineKind::Cpu)
+      return std::make_unique<backend::CpuBackend>(Model, Ledger, Pool,
+                                                   CompressEngineConfig());
+    Device = std::make_unique<GpuDevice>(Model, Ledger);
+    return std::make_unique<backend::GpuBackend>(Model, Ledger, Pool, *Device,
+                                                 CompressEngineConfig());
   }
 };
 
 } // namespace
 
 TEST_P(BackendTest, CompressedBlocksDecodeToOriginal) {
-  CompressEngine Engine = makeEngine();
+  const auto Backend = makeBackend();
   const ByteVector Data = streamWithDuplicates(64, 1.0, 8);
   const auto Views = viewsOf(Data);
-  std::vector<CompressedChunk> Out;
-  Engine.compressBatch(Views, Out);
+  const std::vector<CompressedChunk> Out = compressAll(*Backend, Views);
   ASSERT_EQ(Out.size(), Views.size());
   for (std::size_t I = 0; I < Out.size(); ++I) {
     const auto View =
@@ -272,40 +288,38 @@ TEST_P(BackendTest, CompressedBlocksDecodeToOriginal) {
 }
 
 TEST_P(BackendTest, CompressionSavesSpaceOnCompressibleData) {
-  CompressEngine Engine = makeEngine();
+  const auto Backend = makeBackend();
   const ByteVector Data = streamWithDuplicates(64, 1.0, 9);
   const auto Views = viewsOf(Data);
-  std::vector<CompressedChunk> Out;
-  Engine.compressBatch(Views, Out);
   std::uint64_t Stored = 0;
-  for (const CompressedChunk &Chunk : Out)
+  for (const CompressedChunk &Chunk : compressAll(*Backend, Views))
     Stored += Chunk.Block.size();
   // The workload targets ratio 2; allow a generous band.
   EXPECT_LT(Stored, Data.size() * 3 / 4);
 }
 
 TEST_P(BackendTest, EmptyBatchIsFine) {
-  CompressEngine Engine = makeEngine();
+  const auto Backend = makeBackend();
   std::vector<CompressedChunk> Out;
-  Engine.compressBatch({}, Out);
+  std::vector<BatchScheduler::CompressSlice> Slices;
+  Backend->executeSlice({}, 0, 0, Out, Slices, /*Pipelined=*/false);
   EXPECT_TRUE(Out.empty());
+  EXPECT_TRUE(Slices.empty());
+  EXPECT_EQ(Ledger.busyMicros(Resource::CpuPool), 0.0);
 }
 
 INSTANTIATE_TEST_SUITE_P(Backends, BackendTest,
-                         ::testing::Values(CompressBackend::Cpu,
-                                           CompressBackend::GpuLane),
+                         ::testing::Values(EngineKind::Cpu,
+                                           EngineKind::GpuLane),
                          [](const auto &Info) {
-                           return Info.param == CompressBackend::Cpu
-                                      ? "cpu"
-                                      : "gpulane";
+                           return Info.param == EngineKind::Cpu ? "cpu"
+                                                                : "gpulane";
                          });
 
 TEST_F(EngineFixture, CpuBackendChargesCpuOnly) {
-  CompressEngineConfig Config;
-  CompressEngine Engine(Model, Ledger, Pool, nullptr, Config);
+  backend::CpuBackend Backend(Model, Ledger, Pool, CompressEngineConfig());
   const ByteVector Data = streamWithDuplicates(32, 1.0, 10);
-  std::vector<CompressedChunk> Out;
-  Engine.compressBatch(viewsOf(Data), Out);
+  compressAll(Backend, viewsOf(Data));
   EXPECT_GT(Ledger.busySeconds(Resource::CpuPool), 0.0);
   EXPECT_EQ(Ledger.busySeconds(Resource::Gpu), 0.0);
   EXPECT_EQ(Ledger.busySeconds(Resource::Pcie), 0.0);
@@ -313,12 +327,10 @@ TEST_F(EngineFixture, CpuBackendChargesCpuOnly) {
 
 TEST_F(EngineFixture, GpuBackendChargesGpuPcieAndCpuRefinement) {
   GpuDevice Device(Model, Ledger);
-  CompressEngineConfig Config;
-  Config.Backend = CompressBackend::GpuLane;
-  CompressEngine Engine(Model, Ledger, Pool, &Device, Config);
+  backend::GpuBackend Backend(Model, Ledger, Pool, Device,
+                              CompressEngineConfig());
   const ByteVector Data = streamWithDuplicates(64, 1.0, 11);
-  std::vector<CompressedChunk> Out;
-  Engine.compressBatch(viewsOf(Data), Out);
+  compressAll(Backend, viewsOf(Data));
   EXPECT_GT(Ledger.busySeconds(Resource::Gpu), 0.0);
   EXPECT_GT(Ledger.busySeconds(Resource::Pcie), 0.0);
   EXPECT_GT(Ledger.busySeconds(Resource::CpuPool), 0.0); // refinement
@@ -328,14 +340,13 @@ TEST_F(EngineFixture, GpuBackendChargesGpuPcieAndCpuRefinement) {
 }
 
 TEST_F(EngineFixture, IncompressibleDataFallsBackToRaw) {
-  CompressEngineConfig Config;
-  CompressEngine Engine(Model, Ledger, Pool, nullptr, Config);
+  backend::CpuBackend Backend(Model, Ledger, Pool, CompressEngineConfig());
   ByteVector Data(64 * 4096);
   Random Rng(12);
   Rng.fillBytes(Data.data(), Data.size());
-  std::vector<CompressedChunk> Out;
-  Engine.compressBatch(viewsOf(Data), Out);
-  EXPECT_EQ(Engine.rawFallbacks(), Out.size());
+  const std::vector<CompressedChunk> Out =
+      compressAll(Backend, viewsOf(Data));
+  EXPECT_EQ(Backend.rawFallbacks(), Out.size());
   for (const CompressedChunk &Chunk : Out)
     EXPECT_TRUE(Chunk.StoredRaw);
 }
@@ -348,9 +359,8 @@ TEST_F(EngineFixture, LockstepChargesDivergentChunksMore) {
   // GPU charge must be strictly higher.
   GpuDevice Device(Model, Ledger);
   CompressEngineConfig Config;
-  Config.Backend = CompressBackend::GpuLane;
   Config.Lanes.Lanes = 8;
-  CompressEngine Engine(Model, Ledger, Pool, &Device, Config);
+  backend::GpuBackend Backend(Model, Ledger, Pool, Device, Config);
 
   // Balanced: every 512 B lane is half filler, half noise.
   ByteVector Balanced(4096);
@@ -365,14 +375,13 @@ TEST_F(EngineFixture, LockstepChargesDivergentChunksMore) {
   std::memset(Divergent.data(), 0x55, 2048);
   Rng.fillBytes(Divergent.data() + 2048, 2048);
 
-  std::vector<CompressedChunk> Out;
   const ChunkView BalancedView{ByteSpan(Balanced.data(), 4096), 0};
   const ChunkView DivergentView{ByteSpan(Divergent.data(), 4096), 0};
-  Engine.compressBatch(std::span<const ChunkView>(&BalancedView, 1), Out);
+  compressAll(Backend, std::span<const ChunkView>(&BalancedView, 1));
   const double BalancedExec =
       Ledger.busySeconds(Resource::Gpu) * 1e6 - Model.Gpu.LaunchUs;
   Ledger.reset();
-  Engine.compressBatch(std::span<const ChunkView>(&DivergentView, 1), Out);
+  compressAll(Backend, std::span<const ChunkView>(&DivergentView, 1));
   const double DivergentExec =
       Ledger.busySeconds(Resource::Gpu) * 1e6 - Model.Gpu.LaunchUs;
   // The literal and match per-byte rates are deliberately close (the
@@ -384,11 +393,9 @@ TEST_F(EngineFixture, LockstepChargesDivergentChunksMore) {
 TEST_F(EngineFixture, GpuBatchingRespectsSubBatchSize) {
   Model.Gpu.CompressBatchChunks = 16;
   GpuDevice Device(Model, Ledger);
-  CompressEngineConfig Config;
-  Config.Backend = CompressBackend::GpuLane;
-  CompressEngine Engine(Model, Ledger, Pool, &Device, Config);
+  backend::GpuBackend Backend(Model, Ledger, Pool, Device,
+                              CompressEngineConfig());
   const ByteVector Data = streamWithDuplicates(64, 1.0, 13);
-  std::vector<CompressedChunk> Out;
-  Engine.compressBatch(viewsOf(Data), Out);
+  compressAll(Backend, viewsOf(Data));
   EXPECT_EQ(Device.launches(KernelFamily::Compression), 4u); // 64/16
 }

@@ -2,7 +2,7 @@
 ///
 /// \file
 /// Tests for the bit stream, the canonical Huffman codec, and the
-/// LzHuff entropy-stage wiring (ChunkCodec + CompressEngine +
+/// LzHuff entropy-stage wiring (ChunkCodec + CpuBackend +
 /// pipeline round trips).
 ///
 //===----------------------------------------------------------------------===//

@@ -367,17 +367,17 @@ TEST_F(RestoreFixture, WarpAndCpuDecodeSameFramedBytes) {
 TEST_F(RestoreFixture, MixedFramedUnframedBatchArbitratesPerBatch) {
   // A store that genuinely mixes framed and unframed chunks: the
   // backend splitter's Fixed 0.5 split compresses half of every batch
-  // on the device engine (BlockMethod::LzFramed, one lane per
-  // sub-block) and half on the CPU engine, which does not frame at
+  // on the GPU backend (BlockMethod::LzFramed, one lane per
+  // sub-block) and half on the CPU backend, which does not frame at
   // SubBlocks=1 (BlockMethod::QuickLz). Under WarpGpu decode each batch
   // splits by format: framed chunks to the warp kernel, unframed ones
   // to the CPU pool.
   PipelineConfig Config;
   Config.Mode = PipelineMode::CpuOnly;
   Config.Metrics = &Metrics;
-  Config.Backend.Enabled = true;
-  Config.Backend.Split = backend::SplitMode::Fixed;
-  Config.Backend.Fraction = 0.5;
+  Config.Backend.emplace();
+  Config.Backend->Split = backend::SplitMode::Fixed;
+  Config.Backend->Fraction = 0.5;
   Data = makeStream(4 << 20);
   Pipeline = std::make_unique<ReductionPipeline>(Platform::paper(), Config);
   Pipeline->write(ByteSpan(Data.data(), Data.size()));

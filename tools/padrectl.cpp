@@ -55,9 +55,10 @@
 ///   --read-mode cpu|warp|auto   restore decode mode (default auto)
 ///   --sub-blocks N   framed sub-blocks per chunk (1 = unframed v1;
 ///                    >1 stores decode-v2 frames the warp mode needs)
-///   --backends cpu,gpu,gpu2   enable the multi-backend splitter over
-///                    the listed backends (gpu2 = two modelled GPUs);
-///                    write batches are domain-decomposed across them
+///   --backends cpu,gpu,gpu2   split compression over the listed
+///                    backends (gpu2 = two modelled GPUs); write
+///                    batches are domain-decomposed across them.
+///                    Without it the split follows --mode
 ///   --split auto|cpu|gpu   splitter policy (default auto: the
 ///                    occupancy-balancing tuner picks the fraction)
 ///   --tuner-window N EWMA window of the splitter's rate tuner
@@ -154,11 +155,10 @@ struct Options {
   std::uint64_t QuotaBytes = 0;
   ScenarioShape Scenario = ScenarioShape::SkewedHot;
   std::uint64_t GcEvery = 0;
-  bool BackendEnabled = false;
+  /// Set by --backends/--split/--tuner-window; unset, the split
+  /// follows --mode.
+  std::optional<backend::BackendConfig> Backend;
   bool BackendHasGpu = false;
-  unsigned BackendGpuDevices = 1;
-  backend::SplitMode Split = backend::SplitMode::Auto;
-  unsigned TunerWindow = 0; // 0 = BackendConfig default
   bool RawWrites = false;
   bool FtlOn = false;
   std::uint32_t FtlBlocks = 128;
@@ -181,8 +181,9 @@ void usage() {
       "  --trace-out FILE.json  --metrics-out FILE.prom\n"
       "  --read-batch N  --read-mode cpu|warp|auto  --readahead N\n"
       "  --sub-blocks N       framed sub-blocks per chunk (warp decode)\n"
-      "  --backends cpu,gpu,gpu2   multi-backend splitter (gpu2 = two\n"
-      "      modelled GPUs)  --split auto|cpu|gpu  --tuner-window N\n"
+      "  --backends cpu,gpu,gpu2   compress split over these backends\n"
+      "      (gpu2 = two modelled GPUs)  --split auto|cpu|gpu\n"
+      "      --tuner-window N   (default: the split --mode implies)\n"
       "  --pipeline-depth N   in-flight write batches (1 = serial)\n"
       "  --journal PATH  --checkpoint PATH   (recover) WAL/checkpoint\n"
       "  --group-commit N  --checkpoint-every N   (recover) policies\n"
@@ -298,7 +299,8 @@ bool parseArgs(int Argc, char **Argv, Options &Opts) {
       Opts.SubBlocks =
           static_cast<unsigned>(std::strtoul(Value.c_str(), nullptr, 10));
     } else if (Arg == "--backends" && NextValue(Value)) {
-      Opts.BackendEnabled = true;
+      if (!Opts.Backend)
+        Opts.Backend.emplace();
       std::size_t Pos = 0;
       while (Pos <= Value.size()) {
         const std::size_t Comma = Value.find(',', Pos);
@@ -311,7 +313,7 @@ bool parseArgs(int Argc, char **Argv, Options &Opts) {
           Opts.BackendHasGpu = true;
         } else if (Token == "gpu2") {
           Opts.BackendHasGpu = true;
-          Opts.BackendGpuDevices = 2;
+          Opts.Backend->GpuDevices = 2;
         } else {
           std::fprintf(stderr, "error: unknown backend '%s'\n",
                        Token.c_str());
@@ -321,30 +323,29 @@ bool parseArgs(int Argc, char **Argv, Options &Opts) {
           break;
         Pos = Comma + 1;
       }
-    } else if (Arg == "--split" && NextValue(Value)) {
-      if (Value == "auto")
-        Opts.Split = backend::SplitMode::Auto;
-      else if (Value == "cpu")
-        Opts.Split = backend::SplitMode::CpuOnly;
-      else if (Value == "gpu")
-        Opts.Split = backend::SplitMode::GpuOnly;
-      else {
+    } else if ((Arg == "--split" || Arg == "--tuner-window") &&
+               NextValue(Value)) {
+      // Either implies the splitter over both backends unless
+      // --backends narrows it.
+      if (!Opts.Backend) {
+        Opts.Backend.emplace();
+        Opts.BackendHasGpu = true;
+      }
+      if (Arg == "--tuner-window") {
+        const unsigned Window =
+            static_cast<unsigned>(std::strtoul(Value.c_str(), nullptr, 10));
+        if (Window != 0) // 0 keeps the BackendConfig default
+          Opts.Backend->TunerWindow = Window;
+      } else if (Value == "auto") {
+        Opts.Backend->Split = backend::SplitMode::Auto;
+      } else if (Value == "cpu") {
+        Opts.Backend->Split = backend::SplitMode::CpuOnly;
+      } else if (Value == "gpu") {
+        Opts.Backend->Split = backend::SplitMode::GpuOnly;
+      } else {
         std::fprintf(stderr, "error: unknown split policy '%s'\n",
                      Value.c_str());
         return false;
-      }
-      // --split implies the splitter over both backends unless
-      // --backends narrows it.
-      if (!Opts.BackendEnabled) {
-        Opts.BackendEnabled = true;
-        Opts.BackendHasGpu = true;
-      }
-    } else if (Arg == "--tuner-window" && NextValue(Value)) {
-      Opts.TunerWindow =
-          static_cast<unsigned>(std::strtoul(Value.c_str(), nullptr, 10));
-      if (!Opts.BackendEnabled) {
-        Opts.BackendEnabled = true;
-        Opts.BackendHasGpu = true;
       }
     } else if (Arg == "--read-mode" && NextValue(Value)) {
       if (Value == "cpu")
@@ -464,18 +465,13 @@ PipelineConfig pipelineConfigFor(const Options &Opts, PipelineMode Mode) {
   Config.Chunking = Opts.Chunking;
   Config.PipelineDepth = Opts.PipelineDepth;
   Config.Compress.SubBlocks = Opts.SubBlocks;
-  if (Opts.BackendEnabled) {
-    Config.Backend.Enabled = true;
-    // Device-capable split modes need a modelled GPU; on a GPU-less
-    // platform (or a cpu-only backend list) the splitter degrades to
-    // the forced-CPU pass-through.
-    const bool DeviceCapable =
-        Opts.BackendHasGpu && Opts.Plat.Model.Gpu.Present;
-    Config.Backend.Split =
-        DeviceCapable ? Opts.Split : backend::SplitMode::CpuOnly;
-    Config.Backend.GpuDevices = DeviceCapable ? Opts.BackendGpuDevices : 1;
-    if (Opts.TunerWindow != 0)
-      Config.Backend.TunerWindow = Opts.TunerWindow;
+  Config.Backend = Opts.Backend;
+  // Device-capable split modes need a modelled GPU; on a GPU-less
+  // platform (or a cpu-only backend list) the splitter degrades to the
+  // forced-CPU split.
+  if (Config.Backend && !(Opts.BackendHasGpu && Opts.Plat.Model.Gpu.Present)) {
+    Config.Backend->Split = backend::SplitMode::CpuOnly;
+    Config.Backend->GpuDevices = 1;
   }
   return Config;
 }
@@ -594,14 +590,14 @@ struct FaultSetup {
 PipelineMode resolveMode(const Options &Opts) {
   if (Opts.Mode)
     return *Opts.Mode;
-  // With the multi-backend splitter enabled the compress stage belongs
-  // to the splitter, not the classic mode — calibration across modes
-  // would be answering the wrong question. Dedup stays on the CPU pool
-  // (pass --mode gpu-dedup explicitly to offload it).
-  if (Opts.BackendEnabled) {
-    std::printf("note: --backends routes compression through the "
-                "splitter; using cpu-only writes for the other stages "
-                "(pass --mode to override)\n\n");
+  // An explicit split decides the compress stage, not the mode —
+  // calibration across modes would be answering the wrong question.
+  // Dedup stays on the CPU pool (pass --mode gpu-dedup explicitly to
+  // offload it).
+  if (Opts.Backend) {
+    std::printf("note: --backends/--split set the compress split; using "
+                "cpu-only writes for the other stages (pass --mode to "
+                "override)\n\n");
     return PipelineMode::CpuOnly;
   }
   // The sub-block count applies on the CPU compress path; the GPU lane
