@@ -66,6 +66,16 @@ const char *runKindName(RunKind Kind) {
   return "?";
 }
 
+/// A backend's tuner rate in B/us, or "n/a" when the backend ran no
+/// chunks: its rate is then only the tuner's static seed quote.
+std::string rateCell(double BytesPerUs, std::uint64_t Chunks) {
+  if (Chunks == 0)
+    return "n/a";
+  char Buf[32];
+  std::snprintf(Buf, sizeof(Buf), "%.1f", BytesPerUs);
+  return Buf;
+}
+
 struct RunResult {
   PipelineReport Report;
   /// Order-sensitive checksum over the recipe (locations + sizes).
@@ -242,12 +252,14 @@ int main(int Argc, char **Argv) {
     for (const Row &R : {Row{Point.Name, RunKind::BackCpu, Cpu},
                          Row{Point.Name, RunKind::BackGpu, Gpu},
                          Row{Point.Name, RunKind::BackAuto, Auto}})
-      std::printf("%-14s %-12s %10.1f %10.1f %8.2f %9.1f %9.1f\n",
-                  R.Point, runKindName(R.Kind),
-                  R.R.Report.WallThroughputMBps,
-                  R.R.Report.ThroughputMBps, R.R.Split.Fraction,
-                  R.R.Split.CpuRateBytesPerUs,
-                  R.R.Split.GpuRateBytesPerUs);
+      std::printf(
+          "%-14s %-12s %10.1f %10.1f %8.2f %9s %9s\n", R.Point,
+          runKindName(R.Kind), R.R.Report.WallThroughputMBps,
+          R.R.Report.ThroughputMBps, R.R.Split.Fraction,
+          rateCell(R.R.Split.CpuRateBytesPerUs, R.R.Split.CpuChunks)
+              .c_str(),
+          rateCell(R.R.Split.GpuRateBytesPerUs, R.R.Split.GpuChunks)
+              .c_str());
 
     // Gate 1: every run of a point stores the same thing as the
     // forced-CPU oracle.

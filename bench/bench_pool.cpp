@@ -3,15 +3,15 @@
 /// \file
 /// X3 — cross-volume deduplication in a storage pool (extension): the
 /// VDI golden-image pattern. N clone volumes are provisioned from one
-/// template and then diverge by a per-clone edit fraction; the pool's
-/// shared dedup domain stores the common chunks once, so total
-/// reduction grows with the clone count while per-clone divergence
-/// prices the rest.
+/// template and then diverge by a per-clone edit fraction; as tenant
+/// volumes of one VolumeService they share a dedup domain that stores
+/// the common chunks once, so total reduction grows with the clone
+/// count while per-clone divergence prices the rest.
 ///
 //===----------------------------------------------------------------------===//
 
 #include "BenchUtil.h"
-#include "core/StoragePool.h"
+#include "service/VolumeService.h"
 #include "util/Random.h"
 #include "workload/Trace.h"
 
@@ -27,14 +27,17 @@ constexpr std::uint64_t ImageBlocks = 512; // 2 MiB golden image
 
 /// Provisions `CloneCount` clones and diverges each by `EditFraction`.
 PoolStats provision(unsigned CloneCount, double EditFraction) {
-  PipelineConfig Config;
-  Config.Mode = PipelineMode::GpuCompress;
-  Config.Dedup.Index.BinBits = 10;
-  StoragePool Pool(Platform::paper(), Config);
+  ServiceConfig Config;
+  Config.Pipeline.Mode = PipelineMode::GpuCompress;
+  Config.Pipeline.Dedup.Index.BinBits = 10;
+  VolumeService Pool(Platform::paper(), Config);
   Random Rng(7);
 
+  TenantConfig CloneConfig;
+  CloneConfig.Blocks = ImageBlocks;
   for (unsigned Clone = 0; Clone < CloneCount; ++Clone) {
-    Volume &Vol = Pool.createVolume(ImageBlocks);
+    Volume &Vol = Pool.tenantVolume(
+        Pool.addTenant("clone" + std::to_string(Clone), CloneConfig));
     // The golden image: identical across clones.
     ByteVector Image(ImageBlocks * BlockSize);
     for (std::uint64_t I = 0; I < ImageBlocks; ++I)
@@ -53,9 +56,9 @@ PoolStats provision(unsigned CloneCount, double EditFraction) {
       Vol.writeBlocks(I, ByteSpan(Block.data(), Block.size()));
     }
   }
-  Pool.collectGarbage();
-  Pool.flush();
-  return Pool.stats();
+  Pool.tenantVolume(0).collectGarbage();
+  Pool.finish();
+  return Pool.poolStats();
 }
 
 } // namespace

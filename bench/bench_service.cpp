@@ -2,22 +2,15 @@
 ///
 /// \file
 /// E8 — multi-tenant service (extension): what the shared fingerprint
-/// index buys under an inline memory budget, and how the sharded
-/// global index scales.
+/// index buys under an inline memory budget. One hot tenant (tight
+/// working set, rewritten every round) interferes with three cold
+/// tenants (fresh blocks every round) under a fixed index budget. The
+/// HPDedup-style prioritized policy must keep the hot tenant
+/// inline-resident and beat the LRU baseline on dedup ratio per MB of
+/// index memory; demoted streams fall back to deferred dedup
+/// (BackgroundReducer sweeps).
 ///
-///   1. cache-tier quality: one hot tenant (tight working set,
-///      rewritten every round) interferes with three cold tenants
-///      (fresh blocks every round) under a fixed index budget. The
-///      HPDedup-style prioritized policy must keep the hot tenant
-///      inline-resident and beat the LRU baseline on dedup ratio per
-///      MB of index memory; demoted streams fall back to deferred
-///      dedup (BackgroundReducer sweeps).
-///   2. shard scaling: the same three-tenant workload through the
-///      global index at several shard counts. Outcomes must be
-///      bit-identical at every count (bins are disjoint across
-///      shards), and per-shard occupancy must roughly balance.
-///
-/// Emits BENCH_service.json. `--smoke` runs reduced sweeps and only
+/// Emits BENCH_service.json. `--smoke` runs a reduced sweep and only
 /// the hard gates (CI).
 ///
 //===----------------------------------------------------------------------===//
@@ -61,20 +54,14 @@ ByteVector runOf(std::uint64_t Tag) {
 }
 
 std::unique_ptr<VolumeService> makeService(CachePolicy Policy,
-                                           std::size_t BudgetBytes,
-                                           unsigned Shards) {
+                                           std::size_t BudgetBytes) {
   ServiceConfig Config;
   Config.Pipeline.Mode = PipelineMode::CpuOnly;
   Config.Pipeline.Dedup.Index.BinBits = 8;
-  Config.Pipeline.Dedup.Index.Shards = Shards;
   Config.IndexMemoryBudget = BudgetBytes;
   Config.Policy = Policy;
   return std::make_unique<VolumeService>(Platform::paper(), Config);
 }
-
-//===--------------------------------------------------------------===//
-// 1. Cache-tier quality: prioritized vs LRU under a budget.
-//===--------------------------------------------------------------===//
 
 struct CacheRow {
   const char *Policy = "";
@@ -93,7 +80,7 @@ struct CacheRow {
 /// fresh content every round (duplicate fraction 0).
 CacheRow runCacheTier(CachePolicy Policy, std::size_t BudgetBytes,
                       std::uint64_t Rounds) {
-  auto Service = makeService(Policy, BudgetBytes, /*Shards=*/1);
+  auto Service = makeService(Policy, BudgetBytes);
   const auto Hot = Service->addTenant("hot", TenantConfig{});
   std::vector<VolumeService::TenantId> Cold;
   for (unsigned I = 0; I < ColdTenants; ++I)
@@ -141,68 +128,7 @@ CacheRow runCacheTier(CachePolicy Policy, std::size_t BudgetBytes,
   return Row;
 }
 
-//===--------------------------------------------------------------===//
-// 2. Shard scaling of the global index.
-//===--------------------------------------------------------------===//
-
-struct ShardRow {
-  unsigned Shards = 0;
-  std::uint64_t UniqueChunks = 0;
-  std::uint64_t DupChunks = 0;
-  std::uint64_t StoredBytes = 0;
-  std::uint64_t MinShardEntries = 0;
-  std::uint64_t MaxShardEntries = 0;
-};
-
-/// Three tenants with mixed (partially shared) content through the
-/// pass-through service (no budget) at \p Shards index shards.
-ShardRow runShardScaling(unsigned Shards, std::uint64_t Rounds) {
-  auto Service =
-      makeService(CachePolicy::Prioritized, /*BudgetBytes=*/0, Shards);
-  std::vector<VolumeService::TenantId> Ids;
-  for (unsigned I = 0; I < 3; ++I) {
-    std::string Name = "t";
-    Name += std::to_string(I);
-    Ids.push_back(Service->addTenant(Name, TenantConfig{}));
-  }
-  for (std::uint64_t Round = 0; Round < Rounds; ++Round) {
-    for (unsigned I = 0; I < 3; ++I) {
-      // Even rounds write a shared image (cross-tenant duplicates);
-      // odd rounds write tenant-private content.
-      const std::uint64_t Tag = Round % 2 == 0
-                                    ? 5'000'000 + Round * RunBlocks
-                                    : 6'000'000 * (I + 1) +
-                                          Round * RunBlocks;
-      const ByteVector Run = runOf(Tag);
-      if (!Service->submitWrite(Ids[I], Round * RunBlocks,
-                                ByteSpan(Run.data(), Run.size()))) {
-        std::fprintf(stderr, "FATAL: shard-scaling write rejected\n");
-        std::exit(1);
-      }
-    }
-    Service->pump();
-  }
-  Service->finish();
-
-  ShardRow Row;
-  Row.Shards = Shards;
-  const PipelineReport Report = Service->pipeline().report();
-  Row.UniqueChunks = Report.UniqueChunks;
-  Row.DupChunks = Report.DupChunks;
-  Row.StoredBytes = Report.StoredBytes;
-  const DedupEngine *Engine = Service->pipeline().dedupEngine();
-  const FingerprintIndex &Index = Engine->index();
-  Row.MinShardEntries = ~0ull;
-  for (unsigned S = 0; S < Index.shardCount(); ++S) {
-    const IndexShardStats Stats = Index.shardStats(S);
-    Row.MinShardEntries = std::min(Row.MinShardEntries, Stats.TreeEntries);
-    Row.MaxShardEntries = std::max(Row.MaxShardEntries, Stats.TreeEntries);
-  }
-  return Row;
-}
-
-bool writeJson(const char *Path, const std::vector<CacheRow> &Cache,
-               const std::vector<ShardRow> &Shards) {
+bool writeJson(const char *Path, const std::vector<CacheRow> &Cache) {
   std::FILE *File = std::fopen(Path, "w");
   if (!File)
     return false;
@@ -222,20 +148,6 @@ bool writeJson(const char *Path, const std::vector<CacheRow> &Cache,
         static_cast<unsigned long long>(Cache[I].SweptBlocks),
         static_cast<unsigned long long>(Cache[I].ExpiredEntries),
         I + 1 < Cache.size() ? "," : "");
-  std::fprintf(File, "  ],\n  \"shard_scaling\": [\n");
-  for (std::size_t I = 0; I < Shards.size(); ++I)
-    std::fprintf(
-        File,
-        "    {\"shards\": %u, \"unique_chunks\": %llu, "
-        "\"dup_chunks\": %llu, \"stored_bytes\": %llu, "
-        "\"min_shard_entries\": %llu, \"max_shard_entries\": %llu}%s\n",
-        Shards[I].Shards,
-        static_cast<unsigned long long>(Shards[I].UniqueChunks),
-        static_cast<unsigned long long>(Shards[I].DupChunks),
-        static_cast<unsigned long long>(Shards[I].StoredBytes),
-        static_cast<unsigned long long>(Shards[I].MinShardEntries),
-        static_cast<unsigned long long>(Shards[I].MaxShardEntries),
-        I + 1 < Shards.size() ? "," : "");
   std::fprintf(File, "  ]\n}\n");
   std::fclose(File);
   return true;
@@ -246,12 +158,8 @@ bool writeJson(const char *Path, const std::vector<CacheRow> &Cache,
 int main(int Argc, char **Argv) {
   const bool Smoke = Argc > 1 && std::strcmp(Argv[1], "--smoke") == 0;
   banner("E8", Smoke ? "multi-tenant service (smoke)"
-                     : "multi-tenant service — prioritized cache tier "
-                       "and sharded-index scaling");
+                     : "multi-tenant service — prioritized cache tier");
 
-  //===------------------------------------------------------------===//
-  // 1. Cache-tier quality.
-  //===------------------------------------------------------------===//
   const std::uint64_t Rounds = Smoke ? 8 : 24;
   // 48 and 512 index entries' worth of budget (~32 B/entry): the tight
   // budget forces a choice almost immediately, the loose one only
@@ -277,34 +185,8 @@ int main(int Argc, char **Argv) {
               "inline; LRU's recency ranking evicts the hot\ntenant and "
               "pays for it in raw writes + deferred sweeps.\n");
 
-  //===------------------------------------------------------------===//
-  // 2. Shard scaling.
-  //===------------------------------------------------------------===//
-  const std::uint64_t ShardRounds = Smoke ? 6 : 16;
-  const std::vector<unsigned> ShardCounts =
-      Smoke ? std::vector<unsigned>{1, 4}
-            : std::vector<unsigned>{1, 2, 4, 8};
-  std::vector<ShardRow> Shards;
-  for (const unsigned Count : ShardCounts)
-    Shards.push_back(runShardScaling(Count, ShardRounds));
-  std::printf("\nshard scaling (3 tenants, %llu rounds, shared + "
-              "private content):\n%8s %10s %10s %14s %12s %12s\n",
-              static_cast<unsigned long long>(ShardRounds), "shards",
-              "unique", "dup", "stored (B)", "min entries",
-              "max entries");
-  for (const ShardRow &Row : Shards)
-    std::printf("%8u %10llu %10llu %14llu %12llu %12llu\n", Row.Shards,
-                static_cast<unsigned long long>(Row.UniqueChunks),
-                static_cast<unsigned long long>(Row.DupChunks),
-                static_cast<unsigned long long>(Row.StoredBytes),
-                static_cast<unsigned long long>(Row.MinShardEntries),
-                static_cast<unsigned long long>(Row.MaxShardEntries));
-  std::printf("expected shape: identical outcomes at every shard count "
-              "(bins are disjoint\nacross shards); occupancy balances "
-              "because the digest prefix is uniform.\n");
-
   const char *JsonPath = "BENCH_service.json";
-  if (!writeJson(JsonPath, Cache, Shards))
+  if (!writeJson(JsonPath, Cache))
     std::fprintf(stderr, "warning: cannot write %s\n", JsonPath);
   else
     std::printf("\njson: %s\n", JsonPath);
@@ -344,21 +226,9 @@ int main(int Argc, char **Argv) {
                  static_cast<unsigned long long>(Cache[1].ExpiredEntries));
     Pass = false;
   }
-  // Shard-count invariance: bins are disjoint across shards, so every
-  // count must reproduce the same outcome bit-for-bit.
-  for (std::size_t I = 1; I < Shards.size(); ++I)
-    if (Shards[I].UniqueChunks != Shards[0].UniqueChunks ||
-        Shards[I].DupChunks != Shards[0].DupChunks ||
-        Shards[I].StoredBytes != Shards[0].StoredBytes) {
-      std::fprintf(stderr,
-                   "FAIL: shard count %u diverged from unsharded "
-                   "outcomes\n",
-                   Shards[I].Shards);
-      Pass = false;
-    }
   if (!Pass)
     return 1;
   std::printf("\nPASS: prioritized cache beats LRU per MB of index "
-              "memory; sharding is outcome-invariant\n");
+              "memory\n");
   return 0;
 }

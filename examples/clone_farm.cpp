@@ -1,16 +1,17 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// A VDI clone farm on a storage pool: the operational showcase for
+/// A VDI clone farm on one VolumeService: the operational showcase for
 /// cross-volume deduplication. One golden desktop image is cloned for
-/// a fleet of users; every clone boots (hot reads through the shared
-/// cache), diverges a little (user data), gets snapshotted for backup,
-/// and one departing user's desktop is deleted — all while the pool
-/// stores the common bits exactly once.
+/// a fleet of users, one tenant volume each; every clone boots (hot
+/// reads through the shared cache), diverges a little (user data), gets
+/// snapshotted for backup, and one departing user's desktop is deleted
+/// — all while the shared dedup domain stores the common bits exactly
+/// once.
 ///
 //===----------------------------------------------------------------------===//
 
-#include "core/StoragePool.h"
+#include "service/VolumeService.h"
 #include "workload/Trace.h"
 
 #include <cstdio>
@@ -23,8 +24,8 @@ namespace {
 constexpr std::size_t BlockSize = 4096;
 constexpr std::uint64_t ImageBlocks = 768; // 3 MiB golden image
 
-void printPool(const StoragePool &Pool, const char *When) {
-  const PoolStats Stats = Pool.stats();
+void printPool(const VolumeService &Pool, const char *When) {
+  const PoolStats Stats = Pool.poolStats();
   std::printf("  %-30s volumes=%llu logical=%s physical=%s "
               "(%.1fx reduction)\n",
               When, static_cast<unsigned long long>(Stats.Volumes),
@@ -42,19 +43,22 @@ ByteVector imageBlock(std::uint64_t Index) {
 } // namespace
 
 int main() {
-  PipelineConfig Config;
-  Config.Mode = PipelineMode::GpuCompress;
-  Config.Dedup.Index.BinBits = 10;
-  Config.ReadCacheBytes = 2 << 20; // boot blocks are hot
-  StoragePool Pool(Platform::paper(), Config);
+  ServiceConfig Config;
+  Config.Pipeline.Mode = PipelineMode::GpuCompress;
+  Config.Pipeline.Dedup.Index.BinBits = 10;
+  Config.Pipeline.ReadCacheBytes = 2 << 20; // boot blocks are hot
+  VolumeService Pool(Platform::paper(), Config);
 
   // Provision six user desktops from the golden image.
   ByteVector Golden;
   for (std::uint64_t I = 0; I < ImageBlocks; ++I)
     appendBytes(Golden, ByteSpan(imageBlock(I).data(), BlockSize));
   std::vector<Volume *> Desktops;
+  TenantConfig Desktop;
+  Desktop.Blocks = 1024;
   for (int User = 0; User < 6; ++User) {
-    Volume &Vol = Pool.createVolume(1024);
+    Volume &Vol = Pool.tenantVolume(
+        Pool.addTenant("desktop" + std::to_string(User), Desktop));
     if (!Vol.writeBlocks(0, ByteSpan(Golden.data(), Golden.size()))) {
       std::fprintf(stderr, "error: provisioning failed\n");
       return 1;
@@ -97,7 +101,7 @@ int main() {
   // One user leaves: wipe their desktop and its backup.
   Desktops[5]->deleteSnapshot(Backups[5]);
   Desktops[5]->trim(0, Desktops[5]->blockCount());
-  const std::size_t Freed = Pool.collectGarbage();
+  const std::size_t Freed = Desktops[5]->collectGarbage();
   printPool(Pool, "after retiring one desktop");
   std::printf("  (GC reclaimed %zu chunks — the user's private data; "
               "the golden image stays shared)\n",

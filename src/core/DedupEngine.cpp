@@ -17,13 +17,13 @@ DedupEngine::DedupEngine(const CostModel &Model, ResourceLedger &Ledger,
                          const DedupEngineConfig &Config,
                          const obs::ObsSinks &Obs)
     : Model(Model), Ledger(Ledger), Pool(Pool), Ssd(Ssd), Device(Device),
-      Config(Config), Index(makeFingerprintIndex(Config.Index)),
+      Config(Config), Index(Config.Index),
       Offload(Config.GpuOffload ? Config.OffloadInitial : 0.0) {
   assert(isValidCostModel(Model) && "Invalid cost model");
   if (Config.GpuOffload) {
     assert(Device && Device->present() &&
            "GPU offload requested without a GPU");
-    GpuTable = std::make_unique<GpuBinTable>(*Device, Index->layout(),
+    GpuTable = std::make_unique<GpuBinTable>(*Device, Index.layout(),
                                              Config.GpuSlotsPerBin,
                                              Config.Index.Seed ^ 0x6B75);
   }
@@ -122,7 +122,7 @@ fault::Status DedupEngine::processBatch(
   std::span<LookupResult> Results =
       BatchArena.allocateFilled<LookupResult>(Count, LookupResult());
   std::vector<FlushEvent> Flushes;
-  Index->processBatch(Fingerprints, NewLocations, KnownDuplicate, Pool,
+  Index.processBatch(Fingerprints, NewLocations, KnownDuplicate, Pool,
                       Results, Flushes);
 
   // Charge the CPU index costs from the functional outcome: buffer
@@ -207,7 +207,7 @@ void DedupEngine::offloadToGpu(
           const std::uint32_t Item = Selected[I];
           Fingerprints[Item] = Fingerprint::ofData(Chunks[Item].Data);
           const std::uint32_t Bin =
-              Index->layout().binOf(Fingerprints[Item]);
+              Index.layout().binOf(Fingerprints[Item]);
           if (!GpuTable->coversBin(Bin))
             continue;
           const GpuProbeResult Probe = GpuTable->probe(Fingerprints[Item]);
@@ -262,7 +262,7 @@ fault::Status DedupEngine::handleFlushes(std::vector<FlushEvent> &Flushes) {
     // the buffer to the storage. This creates the appropriate
     // sequential writes for the SSD." (§3.3)
     const std::size_t LogBytes =
-        Event.Locations.size() * Index->layout().cpuEntryBytes();
+        Event.Locations.size() * Index.layout().cpuEntryBytes();
     const fault::Status LogStatus = Ssd.writeSequential(LogBytes);
     if (!LogStatus.ok() && First.ok())
       First = LogStatus;
@@ -318,7 +318,7 @@ void DedupEngine::adaptOffload() {
 
 fault::Status DedupEngine::finish() {
   std::vector<FlushEvent> Flushes;
-  Index->flushAll(Flushes);
+  Index.flushAll(Flushes);
   return handleFlushes(Flushes);
 }
 
@@ -326,13 +326,13 @@ fault::Status DedupEngine::restoreEntry(const Fingerprint &Fp,
                                         std::uint64_t Location) {
   Ledger.chargeMicros(Resource::CpuPool, Model.Cpu.IndexMaintainUs);
   std::vector<FlushEvent> Flushes;
-  (void)Index->upsert(Fp, Location, Flushes);
+  (void)Index.upsert(Fp, Location, Flushes);
   return handleFlushes(Flushes);
 }
 
 bool DedupEngine::dropEntry(const Fingerprint &Fp) {
   Ledger.chargeMicros(Resource::CpuPool, Model.Cpu.IndexMaintainUs);
-  bool Removed = Index->remove(Fp);
+  bool Removed = Index.remove(Fp);
   if (GpuTable)
     Removed |= GpuTable->invalidate(Fp);
   return Removed;

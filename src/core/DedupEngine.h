@@ -28,7 +28,7 @@
 #include "chunk/Chunker.h"
 #include "fault/Status.h"
 #include "gpu/GpuDevice.h"
-#include "index/FingerprintIndex.h"
+#include "index/DedupIndex.h"
 #include "index/GpuBinTable.h"
 #include "obs/Obs.h"
 #include "sim/CostModel.h"
@@ -114,7 +114,7 @@ public:
   /// Current adaptive offload fraction.
   double offloadFraction() const { return Offload; }
 
-  const FingerprintIndex &index() const { return *Index; }
+  const DedupIndex &index() const { return Index; }
   const GpuBinTable *gpuTable() const { return GpuTable.get(); }
 
 private:
@@ -145,10 +145,7 @@ private:
   SsdModel &Ssd;
   GpuDevice *Device;
   DedupEngineConfig Config;
-  /// Concrete type picked by makeFingerprintIndex from
-  /// Config.Index.Shards: the plain bin index, or the digest-prefix
-  /// sharded composite the multi-tenant service uses.
-  std::unique_ptr<FingerprintIndex> Index;
+  DedupIndex Index;
   std::unique_ptr<GpuBinTable> GpuTable;
   /// Per-batch scratch (fingerprints, GPU selection, lookup results,
   /// latency accumulators) lives here instead of the heap; reset at the

@@ -150,19 +150,7 @@ fault::Status ReductionPipeline::write(ByteSpan Stream,
                                        std::vector<ChunkWriteInfo> *InfoOut) {
   std::vector<ChunkView> Chunks;
   StreamChunker->split(Stream, LogicalBytes, Chunks);
-  fault::Status First;
-  for (std::size_t Begin = 0; Begin < Chunks.size();
-       Begin += Config.BatchChunks) {
-    const std::size_t End =
-        std::min(Chunks.size(), Begin + Config.BatchChunks);
-    const fault::Status St =
-        processBatch(std::span<const ChunkView>(Chunks.data() + Begin,
-                                                End - Begin),
-                     InfoOut, /*Raw=*/false);
-    if (!St.ok() && First.ok())
-      First = St;
-  }
-  return First;
+  return writeChunks(Chunks, InfoOut, /*Raw=*/false);
 }
 
 fault::Status
@@ -174,19 +162,7 @@ ReductionPipeline::writeV(std::span<const ByteSpan> Streams,
     StreamChunker->split(Stream, Offset, Chunks);
     Offset += Stream.size();
   }
-  fault::Status First;
-  for (std::size_t Begin = 0; Begin < Chunks.size();
-       Begin += Config.BatchChunks) {
-    const std::size_t End =
-        std::min(Chunks.size(), Begin + Config.BatchChunks);
-    const fault::Status St =
-        processBatch(std::span<const ChunkView>(Chunks.data() + Begin,
-                                                End - Begin),
-                     InfoOut, /*Raw=*/false);
-    if (!St.ok() && First.ok())
-      First = St;
-  }
-  return First;
+  return writeChunks(Chunks, InfoOut, /*Raw=*/false);
 }
 
 fault::Status
@@ -194,15 +170,20 @@ ReductionPipeline::writeRaw(ByteSpan Stream,
                             std::vector<ChunkWriteInfo> *InfoOut) {
   std::vector<ChunkView> Chunks;
   StreamChunker->split(Stream, LogicalBytes, Chunks);
+  return writeChunks(Chunks, InfoOut, /*Raw=*/true);
+}
+
+fault::Status
+ReductionPipeline::writeChunks(std::span<const ChunkView> Chunks,
+                               std::vector<ChunkWriteInfo> *InfoOut,
+                               bool Raw) {
   fault::Status First;
   for (std::size_t Begin = 0; Begin < Chunks.size();
        Begin += Config.BatchChunks) {
     const std::size_t End =
         std::min(Chunks.size(), Begin + Config.BatchChunks);
     const fault::Status St =
-        processBatch(std::span<const ChunkView>(Chunks.data() + Begin,
-                                                End - Begin),
-                     InfoOut, /*Raw=*/true);
+        processBatch(Chunks.subspan(Begin, End - Begin), InfoOut, Raw);
     if (!St.ok() && First.ok())
       First = St;
   }

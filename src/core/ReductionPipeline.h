@@ -269,6 +269,11 @@ public:
   const Platform &platform() const { return Plat; }
 
 private:
+  /// Feeds \p Chunks to processBatch in BatchChunks slices; every
+  /// slice runs, and the first failing slice's status is returned.
+  fault::Status writeChunks(std::span<const ChunkView> Chunks,
+                            std::vector<ChunkWriteInfo> *InfoOut, bool Raw);
+
   fault::Status processBatch(std::span<const ChunkView> Chunks,
                              std::vector<ChunkWriteInfo> *InfoOut, bool Raw);
 

@@ -4,9 +4,9 @@
 /// Shared chunk reference tracking. A chunk's lifetime is governed by
 /// how many logical references point at it — LBA mappings and
 /// snapshots, possibly from *several volumes* sharing one dedup domain
-/// (core/StoragePool.h). The tracker owns the refcounts, the dead list
-/// and garbage collection; volumes translate their mapping changes
-/// into reference()/dereference() calls.
+/// (service/VolumeService.h). The tracker owns the refcounts, the dead
+/// list and garbage collection; volumes translate their mapping
+/// changes into reference()/dereference() calls.
 ///
 /// Single-writer semantics, like the volume layer.
 ///

@@ -92,12 +92,18 @@ bool Volume::applyMappingUpdate(std::uint64_t Lba, std::uint64_t Location,
 
 std::optional<ByteVector> Volume::readBlocks(std::uint64_t Lba,
                                              std::uint64_t Count) {
-  if (Lba + Count > Config.BlockCount || Lba + Count < Lba)
+  return readMapped(Mapping, Lba, Count);
+}
+
+std::optional<ByteVector>
+Volume::readMapped(const std::vector<std::uint64_t> &Map, std::uint64_t Lba,
+                   std::uint64_t Count) {
+  if (Lba + Count > Map.size() || Lba + Count < Lba)
     return std::nullopt;
   ByteVector Out;
   Out.reserve(Count * BlockSize);
   for (std::uint64_t I = 0; I < Count; ++I) {
-    const std::uint64_t Location = Mapping[Lba + I];
+    const std::uint64_t Location = Map[Lba + I];
     if (Location == Unmapped) {
       Out.insert(Out.end(), BlockSize, 0);
       continue;
@@ -162,26 +168,10 @@ bool Volume::deleteSnapshot(SnapshotId Id) {
 std::optional<ByteVector> Volume::readSnapshotBlocks(SnapshotId Id,
                                                      std::uint64_t Lba,
                                                      std::uint64_t Count) {
-  const std::vector<std::uint64_t> *SnapMapping = nullptr;
   for (const auto &[SnapId, Map] : Snapshots)
     if (SnapId == Id)
-      SnapMapping = &Map;
-  if (!SnapMapping || Lba + Count > Config.BlockCount || Lba + Count < Lba)
-    return std::nullopt;
-  ByteVector Out;
-  Out.reserve(Count * BlockSize);
-  for (std::uint64_t I = 0; I < Count; ++I) {
-    const std::uint64_t Location = (*SnapMapping)[Lba + I];
-    if (Location == Unmapped) {
-      Out.insert(Out.end(), BlockSize, 0);
-      continue;
-    }
-    const auto Chunk = Pipeline.readChunk(Location);
-    if (!Chunk || Chunk->size() != BlockSize)
-      return std::nullopt;
-    Out.insert(Out.end(), Chunk->begin(), Chunk->end());
-  }
-  return Out;
+      return readMapped(Map, Lba, Count);
+  return std::nullopt;
 }
 
 std::vector<Volume::SnapshotId> Volume::snapshotIds() const {

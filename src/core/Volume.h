@@ -12,7 +12,7 @@
 ///   * TRIM/discard,
 ///   * per-chunk reference counting (duplicates share one stored
 ///     chunk), held in a ChunkRefTracker that several volumes can
-///     share for a cross-volume dedup domain (core/StoragePool.h),
+///     share for a cross-volume dedup domain (service/VolumeService.h),
 ///   * deferred garbage collection — a dead chunk stays resident (and
 ///     can be *revived* by a dedup hit) until `collectGarbage()`
 ///     purges its store block and index entries,
@@ -39,7 +39,7 @@ struct VolumeConfig {
   std::uint64_t BlockCount = 1 << 16;
 };
 
-/// Space/GC statistics. With a shared tracker (pool member volumes)
+/// Space/GC statistics. With a shared tracker (service tenant volumes)
 /// the chunk/GC counters describe the whole dedup domain.
 struct VolumeStats {
   std::uint64_t MappedBlocks = 0;
@@ -236,6 +236,12 @@ public:
 private:
   bool writeBlocksImpl(std::uint64_t Lba, ByteSpan Data, bool Raw,
                        std::vector<ChunkWriteInfo> *InfoOut);
+
+  /// Reads \p Count blocks at \p Lba through \p Map (the live mapping
+  /// or a snapshot's). Unmapped blocks read as zeros.
+  std::optional<ByteVector> readMapped(const std::vector<std::uint64_t> &Map,
+                                       std::uint64_t Lba,
+                                       std::uint64_t Count);
 
   ReductionPipeline &Pipeline;
   VolumeConfig Config;

@@ -161,19 +161,3 @@ std::size_t DedupIndex::memoryBytes() const {
   return Tree.memoryBytes() +
          Buffer.totalEntries() * Layout.cpuEntryBytes();
 }
-
-IndexShardStats DedupIndex::shardStats(unsigned Shard) const {
-  assert(Shard == 0 && "Unsharded index has exactly one shard");
-  (void)Shard;
-  IndexShardStats Stats;
-  Stats.BufferHits = bufferHits();
-  Stats.TreeHits = treeHits();
-  Stats.GpuHits = gpuHits();
-  Stats.UniqueInserts = uniqueInserts();
-  Stats.Evictions = evictions();
-  Stats.TreeEntries = treeEntries();
-  Stats.MemoryBytes = memoryBytes();
-  Stats.BinBegin = 0;
-  Stats.BinEnd = Layout.binCount();
-  return Stats;
-}

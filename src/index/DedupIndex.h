@@ -13,9 +13,10 @@
 /// event (sequential SSD write + bin-tree merge + GPU-table update are
 /// performed by the engine, §3.3).
 ///
-/// The shared batch types (LookupResult, FlushEvent, DedupIndexConfig)
-/// live in index/FingerprintIndex.h with the abstract interface this
-/// class implements.
+/// Bins share no state, so the bin space is the only partition the
+/// index needs: every tenant of the multi-tenant service shares this
+/// one index (SERVICE.md §1). The shared batch types (LookupResult,
+/// FlushEvent, DedupIndexConfig) live in index/FingerprintIndex.h.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -30,6 +31,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <memory>
 #include <optional>
 #include <span>
 #include <vector>
@@ -37,11 +39,11 @@
 namespace padre {
 
 /// Lock-free-by-partitioning dedup index (bin buffer + bin tree).
-class DedupIndex : public FingerprintIndex {
+class DedupIndex {
 public:
   explicit DedupIndex(const DedupIndexConfig &Config = DedupIndexConfig());
 
-  const BinLayout &layout() const override { return Layout; }
+  const BinLayout &layout() const { return Layout; }
 
   /// Processes a batch: for each fingerprint, runs the CPU lookup
   /// order and fills \p Results. Unique fingerprints are inserted with
@@ -54,42 +56,37 @@ public:
                     std::span<const std::uint64_t> Locations,
                     std::span<const std::uint8_t> KnownDuplicate,
                     ThreadPool &Pool, std::span<LookupResult> Results,
-                    std::vector<FlushEvent> &FlushOut) override;
+                    std::vector<FlushEvent> &FlushOut);
 
   /// Single-item lookup without insertion (read path / tests).
-  std::optional<std::uint64_t> lookup(const Fingerprint &Fp) const override;
+  std::optional<std::uint64_t> lookup(const Fingerprint &Fp) const;
 
   /// Removes \p Fp from the buffer or tree (garbage collection of a
   /// dead chunk's entry). Returns true if an entry was removed.
-  bool remove(const Fingerprint &Fp) override;
+  bool remove(const Fingerprint &Fp);
 
   /// Single-item insert-if-absent (restore path / tools): runs the
   /// normal lookup order and inserts \p Fp at \p Location when unique.
   /// Drains land in \p FlushOut exactly as in processBatch.
   LookupResult upsert(const Fingerprint &Fp, std::uint64_t Location,
-                      std::vector<FlushEvent> &FlushOut) override;
+                      std::vector<FlushEvent> &FlushOut);
 
   /// Drains every non-empty bin buffer into flush events (end-of-run
   /// flush), merging into the tree as in processBatch.
-  void flushAll(std::vector<FlushEvent> &FlushOut) override;
+  void flushAll(std::vector<FlushEvent> &FlushOut);
 
   /// Cumulative per-stage hit counters.
-  std::uint64_t bufferHits() const override { return BufferHits.load(); }
-  std::uint64_t treeHits() const override { return TreeHits.load(); }
-  std::uint64_t gpuHits() const override { return GpuHits.load(); }
-  std::uint64_t uniqueInserts() const override {
-    return UniqueInserts.load();
-  }
-  std::uint64_t evictions() const override { return Evictions.load(); }
+  std::uint64_t bufferHits() const { return BufferHits.load(); }
+  std::uint64_t treeHits() const { return TreeHits.load(); }
+  std::uint64_t gpuHits() const { return GpuHits.load(); }
+  std::uint64_t uniqueInserts() const { return UniqueInserts.load(); }
+  std::uint64_t evictions() const { return Evictions.load(); }
 
   /// Entries in the tree (buffered entries excluded).
-  std::size_t treeEntries() const override { return Tree.totalEntries(); }
+  std::size_t treeEntries() const { return Tree.totalEntries(); }
 
   /// Index memory: tree entry storage plus buffered entries.
-  std::size_t memoryBytes() const override;
-
-  /// The whole index is its only shard.
-  IndexShardStats shardStats(unsigned Shard) const override;
+  std::size_t memoryBytes() const;
 
 private:
   /// Runs the CPU path for one fingerprint (caller owns its bin).
@@ -108,6 +105,12 @@ private:
   std::atomic<std::uint64_t> UniqueInserts{0};
   std::atomic<std::uint64_t> Evictions{0};
 };
+
+/// A heap-allocated index built from \p Config.
+inline std::unique_ptr<DedupIndex>
+makeFingerprintIndex(const DedupIndexConfig &Config) {
+  return std::make_unique<DedupIndex>(Config);
+}
 
 } // namespace padre
 

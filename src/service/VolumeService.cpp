@@ -24,22 +24,16 @@ VolumeService::VolumeService(const Platform &Plat,
       "padre_svc_locality_score",
       "Per-tenant locality score (EWMA of inline duplicate fractions)",
       1.0 / 1024.0, 2.0, 11);
-  const DedupEngine *Engine = Pipeline.dedupEngine();
-  if (!Engine)
+  if (!Pipeline.dedupEngine())
     return;
-  const unsigned Shards = Engine->index().shardCount();
-  for (unsigned S = 0; S < Shards; ++S) {
-    const std::string Label = "{shard=\"" + std::to_string(S) + "\"}";
-    ShardEntriesGauges.push_back(&Metrics->gauge(
-        "padre_svc_shard_entries" + Label,
-        "Bin-tree entries resident in this index shard"));
-    ShardHitsGauges.push_back(&Metrics->gauge(
-        "padre_svc_shard_hits" + Label,
-        "Cumulative duplicate hits resolved by this index shard"));
-    ShardMemoryGauges.push_back(&Metrics->gauge(
-        "padre_svc_shard_memory_bytes" + Label,
-        "Index memory occupied by this shard (tree + buffered)"));
-  }
+  IndexEntriesGauge = &Metrics->gauge(
+      "padre_svc_index_entries", "Bin-tree entries resident in the index");
+  IndexHitsGauge = &Metrics->gauge(
+      "padre_svc_index_hits",
+      "Cumulative duplicate hits resolved by the index");
+  IndexMemoryGauge = &Metrics->gauge(
+      "padre_svc_index_memory_bytes",
+      "Index memory occupied (tree + buffered)");
 }
 
 VolumeService::TenantId
@@ -198,7 +192,7 @@ bool VolumeService::pump() {
     dispatchCoalesced(Picks);
   if (Any) {
     rescoreResidency();
-    updateShardMetrics();
+    updateIndexMetrics();
   }
   return Any;
 }
@@ -345,14 +339,14 @@ ServiceSweepStats VolumeService::sweepDeferred() {
       ++Stats.EntriesExpired;
     }
   }
-  updateShardMetrics();
+  updateIndexMetrics();
   return Stats;
 }
 
 void VolumeService::finish() {
   drain();
   Pipeline.finish();
-  updateShardMetrics();
+  updateIndexMetrics();
 }
 
 std::optional<ByteVector> VolumeService::readBlocks(TenantId Tenant,
@@ -377,18 +371,26 @@ TenantStats VolumeService::tenantStats(TenantId Tenant) const {
   return Stats;
 }
 
-void VolumeService::updateShardMetrics() {
-  if (ShardEntriesGauges.empty())
-    return;
-  const DedupEngine *Engine = Pipeline.dedupEngine();
-  if (!Engine)
-    return;
-  const FingerprintIndex &Index = Engine->index();
-  for (unsigned S = 0; S < ShardEntriesGauges.size(); ++S) {
-    const IndexShardStats Stats = Index.shardStats(S);
-    ShardEntriesGauges[S]->set(static_cast<double>(Stats.TreeEntries));
-    ShardHitsGauges[S]->set(static_cast<double>(
-        Stats.BufferHits + Stats.TreeHits + Stats.GpuHits));
-    ShardMemoryGauges[S]->set(static_cast<double>(Stats.MemoryBytes));
+PoolStats VolumeService::poolStats() const {
+  PoolStats Stats;
+  Stats.Volumes = Tenants.size();
+  for (const TenantState &T : Tenants) {
+    const VolumeStats VolStats = T.Vol->stats();
+    Stats.MappedBlocks += VolStats.MappedBlocks;
+    Stats.LogicalBytes += VolStats.LogicalBytes;
   }
+  Stats.PhysicalBytes = Pipeline.store().storedBytes();
+  Stats.LiveChunks = Tracker->liveChunks();
+  Stats.DeadChunks = Tracker->deadChunks();
+  return Stats;
+}
+
+void VolumeService::updateIndexMetrics() {
+  if (!IndexEntriesGauge)
+    return;
+  const DedupIndex &Index = Pipeline.dedupEngine()->index();
+  IndexEntriesGauge->set(static_cast<double>(Index.treeEntries()));
+  IndexHitsGauge->set(static_cast<double>(
+      Index.bufferHits() + Index.treeHits() + Index.gpuHits()));
+  IndexMemoryGauge->set(static_cast<double>(Index.memoryBytes()));
 }

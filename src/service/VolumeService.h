@@ -4,10 +4,11 @@
 /// The multi-tenant volume service: N tenant volumes behind an
 /// admission/dispatch front-end, all sharing one inline reduction
 /// pipeline, one chunk reference domain and one global fingerprint
-/// index (optionally sharded by digest prefix,
-/// index/ShardedFingerprintIndex.h). This is the ROADMAP's "many
-/// users over one dedup domain" tier built from existing parts — the
-/// StoragePool sharing pattern plus three service-only mechanisms:
+/// index (index/DedupIndex.h). This is padre's only cross-volume dedup
+/// domain: tenant volumes share the store, so cross-volume duplicates
+/// (the VDI golden-image pattern) are stored once and a chunk is
+/// garbage only when no volume or snapshot anywhere references it.
+/// Three service-only mechanisms sit on top:
 ///
 ///   * per-tenant quotas — a submitted write that would push the
 ///     tenant past its logical-byte quota is rejected at admission,
@@ -25,8 +26,8 @@
 ///
 /// With the defaults (no budget, one tenant) the service is a pure
 /// pass-through: results and ledger charges are bit-identical to
-/// driving a Volume directly, at every index shard count
-/// (tests/test_service.cpp). See SERVICE.md for the full architecture.
+/// driving a Volume directly (tests/test_service.cpp). See SERVICE.md
+/// for the full architecture.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -67,8 +68,7 @@ struct TenantConfig {
 
 /// Service-wide knobs.
 struct ServiceConfig {
-  /// Shared pipeline (set Pipeline.Dedup.Index.Shards for the sharded
-  /// global index; obs sinks and fault plans attach here too).
+  /// Shared pipeline (obs sinks and fault plans attach here too).
   PipelineConfig Pipeline;
   /// Fingerprint-index memory budget for the prioritized cache tier
   /// (bytes). 0 = unlimited: every tenant stays inline-resident and
@@ -105,6 +105,23 @@ struct TenantStats {
   double LocalityScore = 0.0;
   bool Resident = false; ///< fingerprints currently memory-resident
   std::size_t TrackedEntries = 0; ///< index entries charged to tenant
+};
+
+/// Space statistics of the whole dedup domain.
+struct PoolStats {
+  std::uint64_t Volumes = 0;
+  std::uint64_t MappedBlocks = 0;  ///< across all volumes
+  std::uint64_t LogicalBytes = 0;  ///< across all volumes
+  std::uint64_t PhysicalBytes = 0; ///< shared store, counted once
+  std::uint64_t LiveChunks = 0;
+  std::uint64_t DeadChunks = 0;
+  /// logical / physical — the domain's headline "reduction" figure;
+  /// cross-volume dedup pushes it beyond any single volume's ratio.
+  double reductionRatio() const {
+    return PhysicalBytes == 0 ? 0.0
+                              : static_cast<double>(LogicalBytes) /
+                                    static_cast<double>(PhysicalBytes);
+  }
 };
 
 /// Aggregated outcome of sweepDeferred().
@@ -158,6 +175,9 @@ public:
                                        std::uint64_t Count);
 
   TenantStats tenantStats(TenantId Tenant) const;
+
+  /// Space statistics across every tenant volume.
+  PoolStats poolStats() const;
 
   /// The tenant's volume (tests / maintenance; single-writer rules).
   Volume &tenantVolume(TenantId Tenant) { return *Tenants[Tenant].Vol; }
@@ -233,8 +253,8 @@ private:
 
   void demote(TenantState &T);
 
-  /// Pushes per-shard occupancy/hit gauges (no-op without metrics).
-  void updateShardMetrics();
+  /// Pushes the index occupancy/hit gauges (no-op without metrics).
+  void updateIndexMetrics();
 
   std::size_t entryBytes() const;
 
@@ -245,9 +265,9 @@ private:
   std::uint64_t Round = 0;
   std::uint64_t DispatchSeq = 0;
   obs::LogHistogram *LocalityHist = nullptr;
-  std::vector<obs::Gauge *> ShardEntriesGauges;
-  std::vector<obs::Gauge *> ShardHitsGauges;
-  std::vector<obs::Gauge *> ShardMemoryGauges;
+  obs::Gauge *IndexEntriesGauge = nullptr;
+  obs::Gauge *IndexHitsGauge = nullptr;
+  obs::Gauge *IndexMemoryGauge = nullptr;
 };
 
 } // namespace padre

@@ -1,26 +1,27 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Serial-oracle property-test harness for fingerprint indexes: replay
-/// one operation sequence against two FingerprintIndex implementations
-/// and diff everything observable — per-op outcomes (including buffer
-/// depths and duplicate locations), flush-event streams, cumulative
-/// counters, occupancy, and the CPU-lane ledger charge each batch's
-/// outcomes would produce in the dedup engine.
+/// Serial-oracle property-test harness for the fingerprint index:
+/// replay one operation sequence against two DedupIndex instances —
+/// the oracle on a one-thread pool, the candidate on a pool that cuts
+/// the bin space into several worker slices — and diff everything
+/// observable: per-op outcomes (including buffer depths and duplicate
+/// locations), flush-event streams, cumulative counters, occupancy,
+/// and the CPU-lane ledger charge each batch's outcomes would produce
+/// in the dedup engine.
 ///
-/// The harness is how "observationally equivalent to DedupIndex" is
-/// made a checkable property instead of a comment: test_index drives
-/// it with the prefix-sharded composite as candidate, across shard
-/// counts, bounded bins and GPU-resolved batches. Any divergence fails
-/// with the op number via SCOPED_TRACE, so a shrinking seed hunt is a
-/// one-line loop.
+/// The harness is how "the bin-parallel processBatch is
+/// observationally serial" is made a checkable property instead of a
+/// comment: test_index drives it across worker counts, bounded bins
+/// and GPU-resolved batches. Any divergence fails with the op number
+/// via SCOPED_TRACE, so a shrinking seed hunt is a one-line loop.
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef PADRE_TESTS_ORACLECHECK_H
 #define PADRE_TESTS_ORACLECHECK_H
 
-#include "index/FingerprintIndex.h"
+#include "index/DedupIndex.h"
 #include "sim/CostModel.h"
 #include "util/Bytes.h"
 #include "util/Random.h"
@@ -145,8 +146,8 @@ inline void expectSameFlushes(const std::vector<FlushEvent> &Expected,
 
 /// Diffs every cumulative counter and occupancy total two indexes
 /// expose.
-inline void expectSameTotals(const FingerprintIndex &Oracle,
-                             const FingerprintIndex &Candidate) {
+inline void expectSameTotals(const DedupIndex &Oracle,
+                             const DedupIndex &Candidate) {
   EXPECT_EQ(Oracle.bufferHits(), Candidate.bufferHits());
   EXPECT_EQ(Oracle.treeHits(), Candidate.treeHits());
   EXPECT_EQ(Oracle.gpuHits(), Candidate.gpuHits());
@@ -156,12 +157,13 @@ inline void expectSameTotals(const FingerprintIndex &Oracle,
   EXPECT_EQ(Oracle.memoryBytes(), Candidate.memoryBytes());
 }
 
-/// Replays \p Ops against both indexes, diffing per-op results, flush
-/// events, modelled ledger charges, and running totals after every op.
-inline void replayAndCompare(FingerprintIndex &Oracle,
-                             FingerprintIndex &Candidate,
-                             std::span<const IndexOp> Ops,
-                             ThreadPool &Pool) {
+/// Replays \p Ops against both indexes (each batch on its own pool),
+/// diffing per-op results, flush events, modelled ledger charges, and
+/// running totals after every op.
+inline void replayAndCompare(DedupIndex &Oracle, ThreadPool &OraclePool,
+                             DedupIndex &Candidate,
+                             ThreadPool &CandidatePool,
+                             std::span<const IndexOp> Ops) {
   const CostModel Model;
   std::vector<FlushEvent> OracleFlush;
   std::vector<FlushEvent> CandidateFlush;
@@ -177,10 +179,11 @@ inline void replayAndCompare(FingerprintIndex &Oracle,
       const std::size_t Size = Op.Fps.size();
       OracleResults.assign(Size, LookupResult());
       CandidateResults.assign(Size, LookupResult());
-      Oracle.processBatch(Op.Fps, Op.Locations, Op.KnownDuplicate, Pool,
-                          OracleResults, OracleFlush);
-      Candidate.processBatch(Op.Fps, Op.Locations, Op.KnownDuplicate, Pool,
-                             CandidateResults, CandidateFlush);
+      Oracle.processBatch(Op.Fps, Op.Locations, Op.KnownDuplicate,
+                          OraclePool, OracleResults, OracleFlush);
+      Candidate.processBatch(Op.Fps, Op.Locations, Op.KnownDuplicate,
+                             CandidatePool, CandidateResults,
+                             CandidateFlush);
       for (std::size_t I = 0; I < Size; ++I) {
         SCOPED_TRACE("item " + std::to_string(I));
         EXPECT_EQ(OracleResults[I].Outcome, CandidateResults[I].Outcome);
@@ -218,19 +221,17 @@ inline void replayAndCompare(FingerprintIndex &Oracle,
   }
 }
 
-/// Builds both indexes from configs and replays (the common shape:
-/// oracle = serial config, candidate = same semantics via another
-/// implementation).
-inline void replayConfigsAndCompare(const DedupIndexConfig &OracleConfig,
-                                    const DedupIndexConfig &CandidateConfig,
-                                    std::span<const IndexOp> Ops,
-                                    unsigned Threads = 4) {
-  const std::unique_ptr<FingerprintIndex> Oracle =
-      makeFingerprintIndex(OracleConfig);
-  const std::unique_ptr<FingerprintIndex> Candidate =
-      makeFingerprintIndex(CandidateConfig);
-  ThreadPool Pool(Threads);
-  replayAndCompare(*Oracle, *Candidate, Ops, Pool);
+/// Builds two indexes from \p Config and replays \p Ops: the oracle's
+/// batches run on one thread, the candidate's on \p CandidateThreads
+/// workers, each owning a contiguous slice of the bin space.
+inline void replayAcrossThreads(const DedupIndexConfig &Config,
+                                std::span<const IndexOp> Ops,
+                                unsigned CandidateThreads = 4) {
+  DedupIndex Oracle(Config);
+  DedupIndex Candidate(Config);
+  ThreadPool OraclePool(1);
+  ThreadPool CandidatePool(CandidateThreads);
+  replayAndCompare(Oracle, OraclePool, Candidate, CandidatePool, Ops);
 }
 
 } // namespace oracle

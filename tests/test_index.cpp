@@ -4,7 +4,7 @@
 /// Tests for the index module: bin layout arithmetic (prefix removal),
 /// bin buffer semantics, bin tree merge/eviction, GPU bin table, the
 /// lock-free batch facade including flush events, and oracle replays of
-/// the prefix-sharded composite against the plain index.
+/// the bin-parallel batch path against a one-thread run.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -14,7 +14,6 @@
 #include "index/BinLayout.h"
 #include "index/CpuBinStore.h"
 #include "index/DedupIndex.h"
-#include "index/ShardedFingerprintIndex.h"
 #include "index/GpuBinTable.h"
 #include "util/Random.h"
 
@@ -536,66 +535,35 @@ TEST_F(IndexFixture, MemoryBoundedIndexMissesSomeDuplicates) {
 }
 
 //===----------------------------------------------------------------------===//
-// Oracle replay: the sharded composite against the plain index
+// Oracle replay: the bin-parallel batch path against a one-thread run
 //===----------------------------------------------------------------------===//
-
-TEST(ShardedOracle, CompositeMatchesPlainIndexUnderRandomOps) {
-  // The OracleCheck harness applied to the sequential sharded
-  // composite: shard count must be a pure layout decision.
-  DedupIndexConfig Serial;
-  Serial.BinBits = 8;
-  Serial.BufferCapacityPerBin = 4;
-  for (unsigned Shards : {2u, 5u, 16u}) {
-    SCOPED_TRACE("shards " + std::to_string(Shards));
-    DedupIndexConfig Sharded = Serial;
-    Sharded.Shards = Shards;
-    Random Rng(0x51AB + Shards);
-    const std::vector<oracle::IndexOp> Ops =
-        oracle::randomOps(Rng, 200, /*Universe=*/512);
-    oracle::replayConfigsAndCompare(Serial, Sharded, Ops);
-  }
-}
-
-TEST(ShardedOracle, BoundedCompositeEvictsIdentically) {
-  DedupIndexConfig Serial;
-  Serial.BinBits = 6;
-  Serial.BufferCapacityPerBin = 2;
-  Serial.MaxEntriesPerBin = 4;
-  DedupIndexConfig Sharded = Serial;
-  Sharded.Shards = 4;
-  Random Rng(0xE71C);
-  const std::vector<oracle::IndexOp> Ops =
-      oracle::randomOps(Rng, 200, /*Universe=*/2048, /*MaxBatch=*/24);
-  oracle::replayConfigsAndCompare(Serial, Sharded, Ops);
-}
 
 namespace {
 
-DedupIndexConfig oracleConfig(unsigned Shards, unsigned BinBits = 8,
+DedupIndexConfig oracleConfig(unsigned BinBits = 8,
                               std::size_t BufferCap = 4,
                               std::size_t MaxPerBin = 0) {
   DedupIndexConfig Config;
   Config.BinBits = BinBits;
   Config.BufferCapacityPerBin = BufferCap;
   Config.MaxEntriesPerBin = MaxPerBin;
-  Config.Shards = Shards;
   return Config;
 }
 
 } // namespace
 
-// The same replay swept over shard counts, including the op mixes the
-// ShardedOracle cases above leave out: GPU-resolved batch items (the
-// composite must slice KnownDuplicate along with each shard's items)
-// and a bin space so small that every shard owns a single bin.
+// The parameter is the candidate pool's worker count: processBatch
+// shards the bin space into that many contiguous slices, one per
+// worker, and every count must replay the one-thread run exactly —
+// random ops, bounded eviction and GPU-resolved batch items (which
+// skip the CPU path wherever their bin's slice runs).
 class OracleShardTest : public ::testing::TestWithParam<unsigned> {};
 
 TEST_P(OracleShardTest, UnboundedRandomOps) {
   Random Rng(0xC0FFEE ^ GetParam());
   const std::vector<oracle::IndexOp> Ops =
       oracle::randomOps(Rng, 300, /*Universe=*/512);
-  oracle::replayConfigsAndCompare(oracleConfig(1), oracleConfig(GetParam()),
-                                  Ops);
+  oracle::replayAcrossThreads(oracleConfig(), Ops, GetParam());
 }
 
 TEST_P(OracleShardTest, BoundedEvictionParity) {
@@ -605,28 +573,26 @@ TEST_P(OracleShardTest, BoundedEvictionParity) {
   Random Rng(0xBADBEEF ^ GetParam());
   const std::vector<oracle::IndexOp> Ops =
       oracle::randomOps(Rng, 250, /*Universe=*/4096, /*MaxBatch=*/32);
-  oracle::replayConfigsAndCompare(oracleConfig(1, 6, 2, 4),
-                                  oracleConfig(GetParam(), 6, 2, 4), Ops);
+  oracle::replayAcrossThreads(oracleConfig(6, 2, 4), Ops, GetParam());
 }
 
 TEST_P(OracleShardTest, GpuResolvedBatches) {
   Random Rng(0x6B75 ^ GetParam());
   const std::vector<oracle::IndexOp> Ops = oracle::randomOps(
       Rng, 200, /*Universe=*/512, /*MaxBatch=*/48, /*WithKnown=*/true);
-  oracle::replayConfigsAndCompare(oracleConfig(1), oracleConfig(GetParam()),
-                                  Ops);
+  oracle::replayAcrossThreads(oracleConfig(), Ops, GetParam());
 }
 
 INSTANTIATE_TEST_SUITE_P(ShardCounts, OracleShardTest,
                          ::testing::Values(1u, 2u, 4u, 8u));
 
 TEST(OracleEquivalence, SingleBinPathologicalStream) {
-  // BinBits=1 keeps two bins, one per shard: maximal drain pressure and
-  // the deepest buffer scans. Identities are drawn small so collisions
-  // recur fast.
+  // BinBits=1 keeps two bins, one per worker: maximal drain pressure
+  // and the deepest buffer scans. Identities are drawn small so
+  // collisions recur fast.
   Random Rng(7);
   const std::vector<oracle::IndexOp> Ops =
       oracle::randomOps(Rng, 200, /*Universe=*/64, /*MaxBatch=*/16);
-  oracle::replayConfigsAndCompare(oracleConfig(1, 1, 2, 8),
-                                  oracleConfig(2, 1, 2, 8), Ops);
+  oracle::replayAcrossThreads(oracleConfig(1, 2, 8), Ops,
+                              /*CandidateThreads=*/2);
 }

@@ -443,15 +443,14 @@ TEST(Pipeline, NoGpuPlatformRunsCpuOnly) {
 //===----------------------------------------------------------------------===//
 
 TEST(ArenaHotpath, RecipeStableAcrossArenaReuse) {
-  // Many small writes => many processBatch calls => many resets of both
-  // the dedup engine's arena and the sharded composite's batch scratch.
-  // Recipe entries recorded in earlier batches must be bit-stable (no
+  // Many small writes => many processBatch calls => many resets of the
+  // dedup engine's arena and the pipeline's batch scratch. Recipe
+  // entries recorded in earlier batches must be bit-stable (no
   // stale arena-backed refs), and the reassembled stream must verify.
   const ByteVector Data =
       VdbenchStream(workload(1 << 20, 2.0, 2.0, /*Seed=*/99)).generateAll();
   PipelineConfig Config;
   Config.Dedup.Index.BinBits = 8;
-  Config.Dedup.Index.Shards = 4;
   Config.BatchChunks = 16; // small batches -> frequent resets
   ReductionPipeline Pipeline(Platform::paper(), Config);
 

@@ -3,13 +3,14 @@
 /// \file
 /// Tests for the multi-tenant volume service (src/service): quota
 /// admission, weighted-fair dispatch, cross-tenant dedup bit-safety,
-/// shard-count invariance, single-tenant pass-through parity with the
-/// direct Volume path, the prioritized cache tier's deferral
+/// single-tenant pass-through parity with the direct Volume path, the
+/// whole-index gauges, the prioritized cache tier's deferral
 /// lifecycle, and fault-plan drains through the dispatch layer.
 ///
 //===----------------------------------------------------------------------===//
 
 #include "fault/FaultInjector.h"
+#include "obs/MetricsRegistry.h"
 #include "service/VolumeService.h"
 #include "workload/Trace.h"
 #include "workload/VdbenchStream.h"
@@ -17,7 +18,6 @@
 #include <gtest/gtest.h>
 
 #include <string>
-#include <tuple>
 #include <vector>
 
 using namespace padre;
@@ -26,17 +26,16 @@ namespace {
 
 constexpr std::size_t BlockSize = 4096;
 
-PipelineConfig basePipeline(unsigned Shards = 1) {
+PipelineConfig basePipeline() {
   PipelineConfig Config;
   Config.Mode = PipelineMode::CpuOnly;
   Config.Dedup.Index.BinBits = 8;
-  Config.Dedup.Index.Shards = Shards;
   return Config;
 }
 
-ServiceConfig baseService(unsigned Shards = 1) {
+ServiceConfig baseService() {
   ServiceConfig Config;
-  Config.Pipeline = basePipeline(Shards);
+  Config.Pipeline = basePipeline();
   return Config;
 }
 
@@ -66,12 +65,14 @@ std::vector<double> laneBusy(ReductionPipeline &Pipeline) {
 } // namespace
 
 //===----------------------------------------------------------------------===//
-// Single-tenant pass-through parity and shard-count invariance
+// Single-tenant pass-through parity
 //===----------------------------------------------------------------------===//
 
 // A single tenant driven through the service must be bit-identical to
-// the direct Volume path — chunks, recipes, mappings and per-lane
-// ledger charges — at every index shard count.
+// the direct Volume path — chunks, recipes, mappings, per-lane ledger
+// charges and index totals. The case keeps its published name so
+// results stay comparable across revisions; there is one index, so one
+// shard count.
 TEST(ServiceParity, SingleTenantMatchesDirectVolumeAtEveryShardCount) {
   // The write sequence: a dup-heavy prefix, an overwrite, fresh tail.
   const std::vector<std::pair<std::uint64_t, ByteVector>> Writes = {
@@ -81,8 +82,8 @@ TEST(ServiceParity, SingleTenantMatchesDirectVolumeAtEveryShardCount) {
       {32, runOf(900, 16)},
   };
 
-  // Reference: the direct Volume path on an unsharded index.
-  ReductionPipeline RefPipeline(Platform::paper(), basePipeline(1));
+  // Reference: the direct Volume path.
+  ReductionPipeline RefPipeline(Platform::paper(), basePipeline());
   Volume RefVol(RefPipeline, VolumeConfig{256});
   for (const auto &[Lba, Data] : Writes)
     ASSERT_TRUE(RefVol.writeBlocks(
@@ -91,99 +92,74 @@ TEST(ServiceParity, SingleTenantMatchesDirectVolumeAtEveryShardCount) {
   const std::vector<double> RefBusy = laneBusy(RefPipeline);
   const PipelineReport RefReport = RefPipeline.report();
 
-  for (unsigned Shards : {1u, 2u, 4u, 7u}) {
-    VolumeService Service(Platform::paper(), baseService(Shards));
-    const auto Tenant = Service.addTenant("only", TenantConfig{256});
-    for (const auto &[Lba, Data] : Writes)
-      ASSERT_TRUE(Service.submitWrite(
-          Tenant, Lba, ByteSpan(Data.data(), Data.size())));
-    Service.finish();
+  VolumeService Service(Platform::paper(), baseService());
+  const auto Tenant = Service.addTenant("only", TenantConfig{256});
+  for (const auto &[Lba, Data] : Writes)
+    ASSERT_TRUE(Service.submitWrite(
+        Tenant, Lba, ByteSpan(Data.data(), Data.size())));
+  Service.finish();
 
-    // Functional state: recipe, mapping, stored bytes.
-    EXPECT_EQ(Service.pipeline().recipe().ChunkLocations,
-              RefPipeline.recipe().ChunkLocations)
-        << "shards=" << Shards;
-    EXPECT_EQ(Service.pipeline().recipe().ChunkSizes,
-              RefPipeline.recipe().ChunkSizes);
-    EXPECT_EQ(Service.tenantVolume(Tenant).mapping(), RefVol.mapping());
+  // Functional state: recipe, mapping, stored bytes.
+  EXPECT_EQ(Service.pipeline().recipe().ChunkLocations,
+            RefPipeline.recipe().ChunkLocations);
+  EXPECT_EQ(Service.pipeline().recipe().ChunkSizes,
+            RefPipeline.recipe().ChunkSizes);
+  EXPECT_EQ(Service.tenantVolume(Tenant).mapping(), RefVol.mapping());
 
-    // Outcome counters.
-    const PipelineReport Report = Service.pipeline().report();
-    EXPECT_EQ(Report.UniqueChunks, RefReport.UniqueChunks);
-    EXPECT_EQ(Report.DupChunks, RefReport.DupChunks);
-    EXPECT_EQ(Report.DupFromBuffer, RefReport.DupFromBuffer);
-    EXPECT_EQ(Report.DupFromTree, RefReport.DupFromTree);
-    EXPECT_EQ(Report.StoredBytes, RefReport.StoredBytes);
+  // Outcome counters.
+  const PipelineReport Report = Service.pipeline().report();
+  EXPECT_EQ(Report.UniqueChunks, RefReport.UniqueChunks);
+  EXPECT_EQ(Report.DupChunks, RefReport.DupChunks);
+  EXPECT_EQ(Report.DupFromBuffer, RefReport.DupFromBuffer);
+  EXPECT_EQ(Report.DupFromTree, RefReport.DupFromTree);
+  EXPECT_EQ(Report.StoredBytes, RefReport.StoredBytes);
 
-    // Ledger charges, lane by lane.
-    const std::vector<double> Busy = laneBusy(Service.pipeline());
-    for (unsigned R = 0; R < ResourceCount; ++R)
-      EXPECT_EQ(Busy[R], RefBusy[R])
-          << "lane " << R << " shards=" << Shards;
+  // Ledger charges, lane by lane.
+  const std::vector<double> Busy = laneBusy(Service.pipeline());
+  for (unsigned R = 0; R < ResourceCount; ++R)
+    EXPECT_EQ(Busy[R], RefBusy[R]) << "lane " << R;
 
-    // Index totals are shard-invariant too.
-    const FingerprintIndex &Index =
-        Service.pipeline().dedupEngine()->index();
-    const FingerprintIndex &RefIndex = RefPipeline.dedupEngine()->index();
-    EXPECT_EQ(Index.shardCount(), Shards == 1 ? 1u : Shards);
-    EXPECT_EQ(Index.uniqueInserts(), RefIndex.uniqueInserts());
-    EXPECT_EQ(Index.bufferHits(), RefIndex.bufferHits());
-    EXPECT_EQ(Index.treeHits(), RefIndex.treeHits());
-    EXPECT_EQ(Index.treeEntries(), RefIndex.treeEntries());
-    EXPECT_EQ(Index.memoryBytes(), RefIndex.memoryBytes());
-  }
+  // Index totals.
+  const DedupIndex &Index = Service.pipeline().dedupEngine()->index();
+  const DedupIndex &RefIndex = RefPipeline.dedupEngine()->index();
+  EXPECT_EQ(Index.uniqueInserts(), RefIndex.uniqueInserts());
+  EXPECT_EQ(Index.bufferHits(), RefIndex.bufferHits());
+  EXPECT_EQ(Index.treeHits(), RefIndex.treeHits());
+  EXPECT_EQ(Index.treeEntries(), RefIndex.treeEntries());
+  EXPECT_EQ(Index.memoryBytes(), RefIndex.memoryBytes());
 }
 
-// Multi-tenant runs are shard-count invariant as well: same outcomes,
-// same charges, and per-shard stats sum to the unsharded totals.
-TEST(ServiceParity, MultiTenantShardCountInvariance) {
-  auto Run = [](unsigned Shards) {
-    VolumeService Service(Platform::paper(), baseService(Shards));
-    const auto A = Service.addTenant("a", TenantConfig{128});
-    const auto B = Service.addTenant("b", TenantConfig{128});
-    const auto C = Service.addTenant("c", TenantConfig{128});
-    const ByteVector Shared = runOf(100, 8);
-    const ByteSpan SharedSpan(Shared.data(), Shared.size());
-    EXPECT_TRUE(Service.submitWrite(A, 0, SharedSpan));
-    EXPECT_TRUE(Service.submitWrite(B, 4, SharedSpan));
-    const ByteVector Own = runOf(700, 12);
-    EXPECT_TRUE(Service.submitWrite(C, 0, ByteSpan(Own.data(), Own.size())));
-    EXPECT_TRUE(Service.submitWrite(A, 16, SharedSpan));
-    Service.finish();
-    return std::make_tuple(Service.pipeline().recipe().ChunkLocations,
-                           laneBusy(Service.pipeline()),
-                           Service.pipeline().report().StoredBytes);
-  };
-
-  const auto Reference = Run(1);
-  for (unsigned Shards : {2u, 5u}) {
-    const auto Sharded = Run(Shards);
-    EXPECT_EQ(std::get<0>(Sharded), std::get<0>(Reference));
-    EXPECT_EQ(std::get<1>(Sharded), std::get<1>(Reference));
-    EXPECT_EQ(std::get<2>(Sharded), std::get<2>(Reference));
-  }
-
-  // Per-shard stats partition the bin space and sum to the totals.
-  VolumeService Service(Platform::paper(), baseService(4));
-  const auto T = Service.addTenant("t", TenantConfig{128});
-  const ByteVector Data = runOf(3000, 32);
-  ASSERT_TRUE(Service.submitWrite(T, 0, ByteSpan(Data.data(), Data.size())));
+// The service publishes the one index's occupancy and hits as
+// unlabelled gauges, refreshed after every dispatch round and finish.
+TEST(ServiceMetrics, IndexGaugesReportTheWholeIndex) {
+  obs::MetricsRegistry Metrics;
+  ServiceConfig Config = baseService();
+  Config.Pipeline.Metrics = &Metrics;
+  VolumeService Service(Platform::paper(), Config);
+  const auto A = Service.addTenant("a", TenantConfig{64});
+  const auto B = Service.addTenant("b", TenantConfig{64});
+  const ByteVector Shared = runOf(100, 16);
+  ASSERT_TRUE(
+      Service.submitWrite(A, 0, ByteSpan(Shared.data(), Shared.size())));
+  ASSERT_TRUE(
+      Service.submitWrite(B, 0, ByteSpan(Shared.data(), Shared.size())));
   Service.finish();
-  const FingerprintIndex &Index = Service.pipeline().dedupEngine()->index();
-  std::uint64_t Inserts = 0;
-  std::size_t Entries = 0;
-  std::uint32_t NextBin = 0;
-  for (unsigned S = 0; S < Index.shardCount(); ++S) {
-    const IndexShardStats Stats = Index.shardStats(S);
-    EXPECT_EQ(Stats.BinBegin, NextBin);
-    EXPECT_LE(Stats.BinBegin, Stats.BinEnd);
-    NextBin = Stats.BinEnd;
-    Inserts += Stats.UniqueInserts;
-    Entries += Stats.TreeEntries;
-  }
-  EXPECT_EQ(NextBin, Index.layout().binCount());
-  EXPECT_EQ(Inserts, Index.uniqueInserts());
-  EXPECT_EQ(Entries, Index.treeEntries());
+
+  const DedupIndex &Index = Service.pipeline().dedupEngine()->index();
+  const obs::Gauge *Entries = Metrics.findGauge("padre_svc_index_entries");
+  const obs::Gauge *Hits = Metrics.findGauge("padre_svc_index_hits");
+  const obs::Gauge *Memory =
+      Metrics.findGauge("padre_svc_index_memory_bytes");
+  ASSERT_NE(Entries, nullptr);
+  ASSERT_NE(Hits, nullptr);
+  ASSERT_NE(Memory, nullptr);
+  EXPECT_EQ(Entries->value(), static_cast<double>(Index.treeEntries()));
+  EXPECT_EQ(Hits->value(),
+            static_cast<double>(Index.bufferHits() + Index.treeHits() +
+                                Index.gpuHits()));
+  EXPECT_GE(Hits->value(), 16.0); // tenant b's run dedups against a's
+  EXPECT_EQ(Memory->value(), static_cast<double>(Index.memoryBytes()));
+  EXPECT_GT(Memory->value(), 0.0);
 }
 
 //===----------------------------------------------------------------------===//
@@ -263,7 +239,7 @@ TEST(ServiceDispatch, WeightedFairSharesOneRoundByWeight) {
 //===----------------------------------------------------------------------===//
 
 TEST(ServiceIsolation, CrossTenantSharingIsBitSafe) {
-  VolumeService Service(Platform::paper(), baseService(3));
+  VolumeService Service(Platform::paper(), baseService());
   const auto A = Service.addTenant("a", TenantConfig{64});
   const auto B = Service.addTenant("b", TenantConfig{64});
   const auto C = Service.addTenant("c", TenantConfig{64});
@@ -315,7 +291,7 @@ TEST(ServiceIsolation, CrossTenantSharingIsBitSafe) {
 // the scheduler's overlap window with fewer, deeper batches.
 TEST(ServiceCoalesce, CoalescedDispatchKeepsResultsBitIdentical) {
   auto Run = [](bool Coalesce) {
-    ServiceConfig Config = baseService(2);
+    ServiceConfig Config = baseService();
     Config.CoalesceDispatch = Coalesce;
     Config.DispatchRunBlocks = 8;
     Config.IndexMemoryBudget = 64 * 32; // forces a deferred (raw) path
@@ -450,7 +426,7 @@ TEST(ServiceFaults, FaultPlanDrainRecoversAndStaysBitExact) {
       << Error;
   fault::FaultInjector Injector(Plan);
 
-  ServiceConfig Config = baseService(2);
+  ServiceConfig Config = baseService();
   Config.Pipeline.Faults = &Injector;
   VolumeService Service(Platform::paper(), Config);
   const auto A = Service.addTenant("a", TenantConfig{128});

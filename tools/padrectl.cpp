@@ -28,14 +28,14 @@
 ///                                acknowledged write
 ///   serve     [options]          multi-tenant service demo: N tenants
 ///                                behind weighted-fair dispatch over
-///                                one sharded global index, with
+///                                one global index, with
 ///                                quotas and the prioritized cache
 ///                                tier (see SERVICE.md)
 ///   tenant    [options]          single-tenant parity check: the same
 ///                                stream through a direct Volume and
 ///                                through the VolumeService must be
 ///                                bit-identical (results and ledger
-///                                charges) at the chosen shard count
+///                                charges)
 ///
 /// Common options:
 ///   --platform paper|no-gpu|weak-gpu|fast-gpu   (default paper)
@@ -69,7 +69,6 @@
 ///   --checkpoint-every N (recover) checkpoint every N ops (default 0)
 ///   --tenants N          (serve) tenant count            (default 3)
 ///   --rounds N           (serve) dispatch rounds         (default 12)
-///   --shards N           (serve/tenant) index shards     (default 4)
 ///   --index-budget N     (serve) inline index budget, bytes (default 0
 ///                        = unlimited / pass-through)
 ///   --policy prioritized|lru   (serve) cache-tier policy
@@ -149,7 +148,6 @@ struct Options {
   std::size_t CheckpointEveryOps = 0;
   unsigned Tenants = 3;
   std::uint64_t Rounds = 12;
-  unsigned Shards = 4;
   std::size_t IndexBudget = 0;
   CachePolicy Policy = CachePolicy::Prioritized;
   std::uint64_t QuotaBytes = 0;
@@ -192,8 +190,8 @@ void usage() {
       "      page-level FTL; geometry via --ftl-blocks N\n"
       "      --ftl-pages-per-block N  --ftl-op PCT\n"
       "  --tenants N  --rounds N  --quota N   (serve) tenant workload\n"
-      "  --shards N  --index-budget N  --policy prioritized|lru\n"
-      "      (serve/tenant) sharded global index + cache tier\n"
+      "  --index-budget N  --policy prioritized|lru\n"
+      "      (serve) index cache tier\n"
       "  --fault-plan SPEC   inject faults, e.g.\n"
       "      'seed=7;ssd-read:error:p=0.01;gpu-kernel:hang:every=50'\n"
       "      sites: ssd-read ssd-write gpu-kernel gpu-dma destage\n"
@@ -301,6 +299,10 @@ bool parseArgs(int Argc, char **Argv, Options &Opts) {
     } else if (Arg == "--backends" && NextValue(Value)) {
       if (!Opts.Backend)
         Opts.Backend.emplace();
+      // The list alone decides the backend set, whatever --split or
+      // --tuner-window implied before it.
+      Opts.BackendHasGpu = false;
+      Opts.Backend->GpuDevices = 1;
       std::size_t Pos = 0;
       while (Pos <= Value.size()) {
         const std::size_t Comma = Value.find(',', Pos);
@@ -372,9 +374,6 @@ bool parseArgs(int Argc, char **Argv, Options &Opts) {
           static_cast<unsigned>(std::strtoul(Value.c_str(), nullptr, 10));
     } else if (Arg == "--rounds" && NextValue(Value)) {
       Opts.Rounds = std::strtoull(Value.c_str(), nullptr, 10);
-    } else if (Arg == "--shards" && NextValue(Value)) {
-      Opts.Shards =
-          static_cast<unsigned>(std::strtoul(Value.c_str(), nullptr, 10));
     } else if (Arg == "--index-budget" && NextValue(Value)) {
       Opts.IndexBudget = std::strtoull(Value.c_str(), nullptr, 10);
     } else if (Arg == "--quota" && NextValue(Value)) {
@@ -438,8 +437,7 @@ bool parseArgs(int Argc, char **Argv, Options &Opts) {
   }
   if (Opts.Bytes == 0 || Opts.ChunkSize == 0 || Opts.DedupRatio < 1.0 ||
       Opts.CompressRatio < 1.0 || Opts.ReadBatch == 0 ||
-      Opts.PipelineDepth == 0 || Opts.Tenants == 0 || Opts.Rounds == 0 ||
-      Opts.Shards == 0) {
+      Opts.PipelineDepth == 0 || Opts.Tenants == 0 || Opts.Rounds == 0) {
     std::fprintf(stderr, "error: invalid numeric option\n");
     return false;
   }
@@ -498,6 +496,16 @@ void printOverlapSummary(const PipelineReport &Report) {
   }
 }
 
+/// A backend's tuner rate as "N B/us", or "n/a" when the backend ran no
+/// chunks: its rate is then only the tuner's static seed quote.
+std::string observedRate(double BytesPerUs, std::uint64_t Chunks) {
+  if (Chunks == 0)
+    return "n/a";
+  char Buf[32];
+  std::snprintf(Buf, sizeof(Buf), "%.1f B/us", BytesPerUs);
+  return Buf;
+}
+
 /// Footer after the overlap summary: the splitter's chosen split and
 /// the tuner's observed rates (the E12 story in one line).
 void printSplitterSummary(const ReductionPipeline &Pipeline) {
@@ -515,9 +523,10 @@ void printSplitterSummary(const ReductionPipeline &Pipeline) {
               static_cast<unsigned long long>(Stats.Batches),
               static_cast<unsigned long long>(Stats.GpuChunks),
               static_cast<unsigned long long>(Stats.CpuChunks));
-  std::printf("  observed rates: cpu %.1f B/us, gpu %.1f B/us "
+  std::printf("  observed rates: cpu %s, gpu %s "
               "(EWMA of marginal pool occupancy)\n",
-              Stats.CpuRateBytesPerUs, Stats.GpuRateBytesPerUs);
+              observedRate(Stats.CpuRateBytesPerUs, Stats.CpuChunks).c_str(),
+              observedRate(Stats.GpuRateBytesPerUs, Stats.GpuChunks).c_str());
 }
 
 /// Caller-frame observability sinks for --trace-out / --metrics-out.
@@ -972,7 +981,6 @@ int commandServe(const Options &OptsIn) {
   FaultSetup Faults;
   ServiceConfig Config;
   Config.Pipeline = pipelineConfigFor(Opts, Mode);
-  Config.Pipeline.Dedup.Index.Shards = Opts.Shards;
   Config.IndexMemoryBudget = Opts.IndexBudget;
   Config.Policy = Opts.Policy;
   Obs.attach(Opts, Config.Pipeline);
@@ -1007,11 +1015,10 @@ int commandServe(const Options &OptsIn) {
   Service.finish();
   const ServiceSweepStats Sweep = Service.sweepDeferred();
 
-  std::printf("service on %s: %u tenants, %llu rounds, %u index "
-              "shard%s, policy %s, budget %s\n\n",
+  std::printf("service on %s: %u tenants, %llu rounds, policy %s, "
+              "budget %s\n\n",
               Opts.Plat.Name.c_str(), Opts.Tenants,
               static_cast<unsigned long long>(Service.rounds()),
-              Opts.Shards, Opts.Shards == 1 ? "" : "s",
               Opts.Policy == CachePolicy::Prioritized ? "prioritized"
                                                       : "lru",
               Opts.IndexBudget == 0
@@ -1037,22 +1044,6 @@ int commandServe(const Options &OptsIn) {
               static_cast<unsigned long long>(Sweep.ChunksCollected),
               static_cast<unsigned long long>(Sweep.EntriesExpired));
 
-  const DedupEngine *Engine = Service.pipeline().dedupEngine();
-  if (Engine && Engine->index().shardCount() > 1) {
-    const FingerprintIndex &Index = Engine->index();
-    std::printf("\n%-7s %12s %12s %12s %12s\n", "shard", "bins",
-                "entries", "hits", "memory");
-    for (unsigned S = 0; S < Index.shardCount(); ++S) {
-      const IndexShardStats Stats = Index.shardStats(S);
-      std::printf("%-7u %5llu..%-5llu %12llu %12llu %12s\n", S,
-                  static_cast<unsigned long long>(Stats.BinBegin),
-                  static_cast<unsigned long long>(Stats.BinEnd),
-                  static_cast<unsigned long long>(Stats.TreeEntries),
-                  static_cast<unsigned long long>(
-                      Stats.BufferHits + Stats.TreeHits + Stats.GpuHits),
-                  formatSize(Stats.MemoryBytes).c_str());
-    }
-  }
   std::printf("\n%s\n", Service.pipeline().report().toString().c_str());
   Faults.summary();
   return Obs.write(Opts) ? 0 : 1;
@@ -1083,10 +1074,9 @@ int commandTenant(const Options &OptsIn) {
   }
   Direct.flush();
 
-  // Candidate: one tenant through the service at --shards shards.
+  // Candidate: one tenant through the service.
   ServiceConfig Config;
   Config.Pipeline = pipelineConfigFor(Opts, Mode);
-  Config.Pipeline.Dedup.Index.Shards = Opts.Shards;
   VolumeService Service(Opts.Plat, Config);
   TenantConfig Tenant;
   Tenant.Blocks = Blocks;
@@ -1105,10 +1095,8 @@ int commandTenant(const Options &OptsIn) {
 
   const PipelineReport Ref = DirectPipe.report();
   const PipelineReport Svc = Service.pipeline().report();
-  std::printf("single-tenant parity on %s: %s stream, %u index "
-              "shard%s\n\n",
-              Opts.Plat.Name.c_str(), formatSize(Data.size()).c_str(),
-              Opts.Shards, Opts.Shards == 1 ? "" : "s");
+  std::printf("single-tenant parity on %s: %s stream\n\n",
+              Opts.Plat.Name.c_str(), formatSize(Data.size()).c_str());
   bool Match = Ref.UniqueChunks == Svc.UniqueChunks &&
                Ref.DupChunks == Svc.DupChunks &&
                Ref.DupFromBuffer == Svc.DupFromBuffer &&
