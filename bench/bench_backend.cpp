@@ -66,13 +66,15 @@ const char *runKindName(RunKind Kind) {
   return "?";
 }
 
-/// A backend's tuner rate in B/us, or "n/a" when the backend ran no
-/// chunks: its rate is then only the tuner's static seed quote.
-std::string rateCell(double BytesPerUs, std::uint64_t Chunks) {
+/// A backend's tuner rate in B/us, or "n/a" (JSON: null) when the
+/// backend ran no chunks: its rate is then only the tuner's static seed
+/// quote.
+std::string rateCell(double BytesPerUs, std::uint64_t Chunks,
+                     bool Json = false) {
   if (Chunks == 0)
-    return "n/a";
+    return Json ? "null" : "n/a";
   char Buf[32];
-  std::snprintf(Buf, sizeof(Buf), "%.1f", BytesPerUs);
+  std::snprintf(Buf, sizeof(Buf), Json ? "%.3f" : "%.1f", BytesPerUs);
   return Buf;
 }
 
@@ -170,14 +172,18 @@ bool writeJson(const char *Path, const std::vector<Row> &Rows,
         "    {\"point\": \"%s\", \"run\": \"%s\", \"wall_mbps\": %.3f, "
         "\"makespan_sec\": %.9f, \"busy_mbps\": %.3f, "
         "\"stored_bytes\": %llu, \"unique_chunks\": %llu, "
-        "\"split_fraction\": %.4f, \"cpu_rate_bpus\": %.3f, "
-        "\"gpu_rate_bpus\": %.3f}%s\n",
+        "\"split_fraction\": %.4f, \"cpu_rate_bpus\": %s, "
+        "\"gpu_rate_bpus\": %s}%s\n",
         R.Point, runKindName(R.Kind), R.R.Report.WallThroughputMBps,
         R.R.Report.MakespanSec, R.R.Report.ThroughputMBps,
         static_cast<unsigned long long>(R.R.Report.StoredBytes),
         static_cast<unsigned long long>(R.R.Report.UniqueChunks),
-        R.R.Split.Fraction, R.R.Split.CpuRateBytesPerUs,
-        R.R.Split.GpuRateBytesPerUs, I + 1 < Rows.size() ? "," : "");
+        R.R.Split.Fraction,
+        rateCell(R.R.Split.CpuRateBytesPerUs, R.R.Split.CpuChunks, true)
+            .c_str(),
+        rateCell(R.R.Split.GpuRateBytesPerUs, R.R.Split.GpuChunks, true)
+            .c_str(),
+        I + 1 < Rows.size() ? "," : "");
   }
   std::fprintf(File, "  ]\n}\n");
   std::fclose(File);

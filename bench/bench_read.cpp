@@ -319,10 +319,7 @@ int main(int Argc, char **Argv) {
       Synth.Seed = 7;
       const TraceLog Log = TraceLog::synthesize(Synth);
       VolumeReader Reader(Vol);
-      const TraceRunStats Stats = replayTrace(
-          Vol, Log, [&](std::uint64_t Lba, std::uint64_t Count) {
-            return Reader.readBlocks(Lba, Count);
-          });
+      const TraceRunStats Stats = replayTrace(Vol, Log, &Reader.pipeline());
       if (!Stats.clean()) {
         std::fprintf(stderr, "FATAL: mixed replay verification failed\n");
         return 1;

@@ -49,21 +49,6 @@ ChunkStore::readChunk(std::uint64_t Location) const {
   return Out;
 }
 
-std::optional<ByteVector>
-ChunkStore::readStream(const StreamRecipe &Recipe) const {
-  assert(Recipe.ChunkLocations.size() == Recipe.ChunkSizes.size() &&
-         "Malformed recipe");
-  ByteVector Stream;
-  Stream.reserve(Recipe.logicalBytes());
-  for (std::size_t I = 0; I < Recipe.ChunkLocations.size(); ++I) {
-    const auto Chunk = readChunk(Recipe.ChunkLocations[I]);
-    if (!Chunk || Chunk->size() != Recipe.ChunkSizes[I])
-      return std::nullopt;
-    appendBytes(Stream, ByteSpan(Chunk->data(), Chunk->size()));
-  }
-  return Stream;
-}
-
 std::uint64_t ChunkStore::erase(std::uint64_t Location) {
   std::lock_guard<std::mutex> Lock(Mutex);
   const auto It = Blocks.find(Location);

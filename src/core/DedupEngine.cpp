@@ -12,6 +12,15 @@
 
 using namespace padre;
 
+namespace {
+
+/// Base step of the adaptive offload fraction (see adaptOffload).
+constexpr double OffloadStep = 0.05;
+/// GPU bin-table slots per bin.
+constexpr std::size_t GpuSlotsPerBin = 128;
+
+} // namespace
+
 DedupEngine::DedupEngine(const CostModel &Model, ResourceLedger &Ledger,
                          ThreadPool &Pool, SsdModel &Ssd, GpuDevice *Device,
                          const DedupEngineConfig &Config,
@@ -24,7 +33,7 @@ DedupEngine::DedupEngine(const CostModel &Model, ResourceLedger &Ledger,
     assert(Device && Device->present() &&
            "GPU offload requested without a GPU");
     GpuTable = std::make_unique<GpuBinTable>(*Device, Index.layout(),
-                                             Config.GpuSlotsPerBin,
+                                             GpuSlotsPerBin,
                                              Config.Index.Seed ^ 0x6B75);
   }
   if (Obs.Metrics) {
@@ -307,7 +316,7 @@ void DedupEngine::adaptOffload() {
   if (Total > 0.0) {
     const double Imbalance = (CpuDelta - GpuDelta) / Total;
     const double Step =
-        std::min(Config.OffloadStep * 4.0, std::abs(Imbalance) * 0.5);
+        std::min(OffloadStep * 4.0, std::abs(Imbalance) * 0.5);
     Offload *= Imbalance > 0.0 ? 1.0 + Step : 1.0 - Step;
   }
   Offload = std::min(Config.OffloadCeiling,

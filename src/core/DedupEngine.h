@@ -65,9 +65,6 @@ struct DedupEngineConfig {
   double OffloadFloor = 0.15;
   double OffloadCeiling = 1.0;
   double OffloadInitial = 0.35;
-  double OffloadStep = 0.05;
-  /// GPU bin-table slots per bin.
-  std::size_t GpuSlotsPerBin = 128;
   /// Baseline policy (bench_baselines): index probes/maintenance pass
   /// through one global lock (P-Dedupe-style multicore dedup, §5 —
   /// hashing is parallel but indexing is not). The index work is

@@ -9,6 +9,7 @@
 
 #include "backend/AutoSplitter.h"
 #include "compress/Block.h"
+#include "restore/ReadPipeline.h"
 
 #include <cassert>
 
@@ -134,9 +135,6 @@ ReductionPipeline::ReductionPipeline(const Platform &Platform,
     VerifyMismatchTotal =
         &M.counter("padre_verify_mismatch_total",
                    "Digest matches demoted to unique by verify-on-dedup");
-    DecodeFailTotal =
-        &M.counter("padre_read_decode_fail_total",
-                   "Chunk reads that failed to decode (corruption)");
     ScrubRepairedTotal =
         &M.counter("padre_scrub_repair_total{outcome=\"repaired\"}",
                    "Scrubbed chunks repaired from a verified copy");
@@ -498,15 +496,14 @@ fault::Status ReductionPipeline::journalWrite(std::uint64_t Bytes,
   return St;
 }
 
+restore::ReadPipeline &ReductionPipeline::reader() {
+  if (!Reader)
+    Reader = std::make_unique<restore::ReadPipeline>(*this);
+  return *Reader;
+}
+
 std::optional<ByteVector> ReductionPipeline::readBack() {
-  const obs::StageSpan Stage(Config.Trace, Ledger, "read");
-  // Charge the read path: one random SSD read per referenced chunk and
-  // CPU decompression per logical byte.
-  Ssd.readRandom4K(Recipe.ChunkLocations.size());
-  Ledger.chargeMicros(Resource::CpuPool,
-                      Plat.Model.Cpu.DecompressPerByteNs * 1e-3 *
-                          static_cast<double>(Recipe.logicalBytes()));
-  return Store.readStream(Recipe);
+  return reader().readStream(Recipe);
 }
 
 std::optional<ByteVector>
@@ -519,39 +516,12 @@ ReductionPipeline::readChunk(std::uint64_t Location, bool BypassCache) {
 
 fault::Expected<ByteVector>
 ReductionPipeline::readChunkEx(std::uint64_t Location, bool BypassCache) {
-  const obs::StageSpan Stage(Config.Trace, Ledger, "read");
-  if (Cache && !BypassCache) {
-    if (auto Hit = Cache->get(Location)) {
-      Ledger.chargeMicros(Resource::CpuPool,
-                          Plat.Model.Cpu.CacheCopyPerByteNs * 1e-3 *
-                              static_cast<double>(Hit->size()));
-      return std::move(*Hit);
-    }
-  }
-  const fault::Status IoStatus = Ssd.readRandom4K(1);
-  if (!IoStatus.ok())
-    return IoStatus;
-  const auto Chunk = Store.readChunk(Location);
-  if (!Chunk) {
-    // Corrupt (or missing) payload: drop any stale cached copy — a
-    // later cached read must not mask corruption the flash path
-    // reports, regardless of whether *this* read bypassed the cache
-    // (scrub does, and scrub is exactly when corruption surfaces).
-    if (Cache)
-      Cache->invalidate(Location);
-    if (DecodeFailTotal)
-      DecodeFailTotal->add(1);
-    return fault::Status::error(Store.contains(Location)
-                                    ? fault::ErrorCode::ChunkCorrupt
-                                    : fault::ErrorCode::ChunkMissing,
-                                Location);
-  }
-  Ledger.chargeMicros(Resource::CpuPool,
-                      Plat.Model.Cpu.DecompressPerByteNs * 1e-3 *
-                          static_cast<double>(Chunk->size()));
-  if (Cache && !BypassCache)
-    Cache->put(Location, *Chunk);
-  return *Chunk;
+  std::vector<ByteVector> Out;
+  std::vector<restore::ReadFailure> Failures;
+  if (!reader().readLocations(std::span<const std::uint64_t>(&Location, 1),
+                              Out, &Failures, BypassCache))
+    return fault::Status::error(Failures.front().Code, Location);
+  return std::move(Out.front());
 }
 
 ScrubOutcome ReductionPipeline::scrubChunk(std::uint64_t Location,
@@ -660,6 +630,8 @@ void ReductionPipeline::resetMeasurement() {
   // overlap the post-warmup ones at the same positions.
   if (Config.Trace)
     Config.Trace->clear();
+  if (Reader)
+    Reader->resetMeasurement();
   LogicalBytes = LogicalChunks = 0;
   UniqueChunks = UniqueBytes = 0;
   DupChunks = DupFromBuffer = DupFromTree = DupFromGpu = 0;

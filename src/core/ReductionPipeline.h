@@ -48,6 +48,10 @@ namespace backend {
 class AutoSplitter;
 } // namespace backend
 
+namespace restore {
+class ReadPipeline;
+} // namespace restore
+
 /// Pipeline configuration. Index.BinBits defaults to 10 here (1024
 /// bins) rather than the paper's 16: experiment streams are scaled down
 /// ~100x from a 4 TB deployment, and the bin count must scale with them
@@ -185,26 +189,33 @@ public:
   /// Recipe of everything written so far (for read-back).
   const StreamRecipe &recipe() const { return Recipe; }
 
-  /// Reads the full stream back through the store, charging SSD reads
-  /// and CPU decompression. Returns nullopt on corruption.
+  /// Reads the full stream back through the restore engine (reader()),
+  /// which charges the SSD fetches and the decode. Returns nullopt on a
+  /// missing, unreadable or corrupt chunk.
   std::optional<ByteVector> readBack();
 
   /// Convenience: readBack() equals \p Original byte-for-byte.
   bool verifyAgainst(ByteSpan Original);
 
-  /// Reads one chunk by location, charging an SSD random read and CPU
-  /// decompression on a cache miss (or a DRAM copy on a hit when the
-  /// read cache is enabled). \p BypassCache forces the flash path —
-  /// scrubbing must not certify cached copies. Returns nullopt if
-  /// absent or corrupt.
+  /// Reads one chunk by location through the restore engine: a DRAM
+  /// copy on a cache hit, else an SSD read and a decode. \p BypassCache
+  /// forces the flash path — scrubbing must not certify cached copies.
+  /// Returns nullopt if absent, unreadable or corrupt.
   std::optional<ByteVector> readChunk(std::uint64_t Location,
                                       bool BypassCache = false);
 
   /// Like readChunk but preserves the failure class: SsdReadError
-  /// (flash command gave up), ChunkMissing (no block at the location)
-  /// or ChunkCorrupt (block failed its CRC/format check).
+  /// (flash command gave up), ChunkMissing (no block at the location),
+  /// ChunkCorrupt (block failed its CRC/format check) or DecodeError
+  /// (payload failed to decode).
   fault::Expected<ByteVector> readChunkEx(std::uint64_t Location,
                                           bool BypassCache = false);
+
+  /// The restore engine every chunk read goes through (default
+  /// ReadConfig), built on first use — a write-only run never
+  /// constructs it. restore::VolumeReader brings its own engine over
+  /// this pipeline instead.
+  restore::ReadPipeline &reader();
 
   /// Verifies the chunk stored at \p Location against \p Fp (charging
   /// the flash read + hash) and, when it is corrupt or unreadable,
@@ -246,7 +257,7 @@ public:
 
   /// Zeroes the ledger and the report counters while keeping all
   /// functional state (index, store) — call after a warmup prefix so
-  /// the report reflects steady state.
+  /// the report reflects steady state. Rebaselines reader() too.
   void resetMeasurement();
 
   /// The measurements since construction or resetMeasurement().
@@ -325,9 +336,11 @@ private:
   obs::Counter *DupGpuTotal = nullptr;
   obs::Counter *StoredBytesTotal = nullptr;
   obs::Counter *VerifyMismatchTotal = nullptr;
-  obs::Counter *DecodeFailTotal = nullptr;
   obs::Counter *ScrubRepairedTotal = nullptr;
   obs::Counter *ScrubLostTotal = nullptr;
+  /// Declared last: the engine borrows the members above, so it must be
+  /// destroyed first.
+  std::unique_ptr<restore::ReadPipeline> Reader;
 };
 
 } // namespace padre

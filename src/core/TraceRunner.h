@@ -15,8 +15,6 @@
 #include "core/Volume.h"
 #include "workload/Trace.h"
 
-#include <functional>
-
 namespace padre {
 
 /// Replay outcome counters.
@@ -37,19 +35,14 @@ struct TraceRunStats {
   bool clean() const { return ReadFailures == 0 && VerifyFailures == 0; }
 };
 
-/// How replay serves reads: given (Lba, Count), return the decoded
-/// blocks or nullopt on failure — the Volume::readBlocks contract.
-using TraceReadFn =
-    std::function<std::optional<ByteVector>(std::uint64_t, std::uint64_t)>;
-
 /// Replays \p Log against \p Vol, verifying every read against a
 /// shadow tag map. Out-of-range records are counted and skipped
 /// (traces may be generated for a different geometry). Reads go
-/// through \p ReadBlocks when provided (e.g. the batched
-/// restore::VolumeReader — core cannot depend on restore, so the
-/// read path is injected), else Volume::readBlocks.
+/// through Volume::readBlocks on \p Reads when given (e.g. a
+/// restore::VolumeReader's engine with its own ReadConfig), else on
+/// the pipeline's engine. Buffered batches are left unflushed.
 TraceRunStats replayTrace(Volume &Vol, const TraceLog &Log,
-                          const TraceReadFn &ReadBlocks = nullptr);
+                          restore::ReadPipeline *Reads = nullptr);
 
 /// Timed-replay knobs.
 struct ReplayConfig {
@@ -90,10 +83,11 @@ struct TimedReplayReport {
 /// (CPU-pool time divided by the pool width, plus GPU, PCIe, SSD and
 /// index-lock lane time), and its latency is queueing + service
 /// against the record's `ArrivalUs` stamp. Functional behaviour
-/// (shadow verification, skip counting) matches `replayTrace`.
+/// (shadow verification, skip counting, \p Reads) matches
+/// `replayTrace`; the final flush is timed as part of the run.
 TimedReplayReport replayTraceTimed(Volume &Vol, const TraceLog &Log,
                                    const ReplayConfig &Config = {},
-                                   const TraceReadFn &ReadBlocks = nullptr);
+                                   restore::ReadPipeline *Reads = nullptr);
 
 } // namespace padre
 

@@ -7,8 +7,11 @@
 
 #include "core/Volume.h"
 
+#include "restore/ReadPipeline.h"
+
 #include <algorithm>
 #include <cassert>
+#include <cstring>
 
 using namespace padre;
 
@@ -91,28 +94,42 @@ bool Volume::applyMappingUpdate(std::uint64_t Lba, std::uint64_t Location,
 }
 
 std::optional<ByteVector> Volume::readBlocks(std::uint64_t Lba,
-                                             std::uint64_t Count) {
-  return readMapped(Mapping, Lba, Count);
+                                             std::uint64_t Count,
+                                             restore::ReadPipeline *Engine) {
+  return readMapped(Mapping, Lba, Count, Engine);
 }
 
 std::optional<ByteVector>
 Volume::readMapped(const std::vector<std::uint64_t> &Map, std::uint64_t Lba,
-                   std::uint64_t Count) {
+                   std::uint64_t Count, restore::ReadPipeline *Engine) {
   if (Lba + Count > Map.size() || Lba + Count < Lba)
     return std::nullopt;
-  ByteVector Out;
-  Out.reserve(Count * BlockSize);
-  for (std::uint64_t I = 0; I < Count; ++I) {
-    const std::uint64_t Location = Map[Lba + I];
-    if (Location == Unmapped) {
-      Out.insert(Out.end(), BlockSize, 0);
-      continue;
-    }
-    const auto Chunk = Pipeline.readChunk(Location);
-    if (!Chunk || Chunk->size() != BlockSize)
-      return std::nullopt;
-    Out.insert(Out.end(), Chunk->begin(), Chunk->end());
-  }
+
+  // Gather the mapped blocks' locations; unmapped blocks contribute
+  // zeros without touching the restore engine.
+  std::vector<std::uint64_t> Locations;
+  Locations.reserve(Count);
+  for (std::uint64_t I = 0; I < Count; ++I)
+    if (Map[Lba + I] != Unmapped)
+      Locations.push_back(Map[Lba + I]);
+
+  // Chunks arrive in mapping order; a failed read delivers an empty
+  // chunk, which fails the geometry check.
+  ByteVector Out(Count * BlockSize, std::uint8_t{0});
+  std::uint64_t Block = 0;
+  bool Complete = true;
+  restore::ReadPipeline &Reads = Engine ? *Engine : Pipeline.reader();
+  Reads.visitLocations(Locations, [&](std::size_t, const ByteVector &Chunk) {
+    while (Map[Lba + Block] == Unmapped)
+      ++Block;
+    if (Chunk.size() == BlockSize)
+      std::memcpy(Out.data() + Block * BlockSize, Chunk.data(), BlockSize);
+    else
+      Complete = false;
+    ++Block;
+  });
+  if (!Complete)
+    return std::nullopt;
   return Out;
 }
 
@@ -165,12 +182,13 @@ bool Volume::deleteSnapshot(SnapshotId Id) {
   return false;
 }
 
-std::optional<ByteVector> Volume::readSnapshotBlocks(SnapshotId Id,
-                                                     std::uint64_t Lba,
-                                                     std::uint64_t Count) {
+std::optional<ByteVector>
+Volume::readSnapshotBlocks(SnapshotId Id, std::uint64_t Lba,
+                           std::uint64_t Count,
+                           restore::ReadPipeline *Engine) {
   for (const auto &[SnapId, Map] : Snapshots)
     if (SnapId == Id)
-      return readMapped(Map, Lba, Count);
+      return readMapped(Map, Lba, Count, Engine);
   return std::nullopt;
 }
 
@@ -184,25 +202,31 @@ std::vector<Volume::SnapshotId> Volume::snapshotIds() const {
 
 Volume::ScrubReport Volume::scrub() {
   ScrubReport Report;
-  for (const ChunkRecord &Record : Tracker->records()) {
-    ++Report.ChunksScanned;
-    const auto Chunk =
-        Pipeline.readChunk(Record.Location, /*BypassCache=*/true);
-    bool Bad = !Chunk.has_value();
-    if (!Bad) {
-      // Re-fingerprint the decoded content: the block CRC catches
-      // payload corruption; this catches a block swapped for another
-      // valid one (misdirected write).
-      const Fingerprint Actual =
-          Fingerprint::ofData(ByteSpan(Chunk->data(), Chunk->size()));
-      Bad = !(Actual == Record.Fp);
-    }
-    if (Bad) {
-      ++Report.CorruptChunks;
-      Report.BadLocations.push_back(Record.Location);
-    }
-  }
-  std::sort(Report.BadLocations.begin(), Report.BadLocations.end());
+  // Location order, so each engine batch coalesces adjacent chunks into
+  // sequential flash reads.
+  std::vector<ChunkRecord> Records = Tracker->records();
+  std::sort(Records.begin(), Records.end(),
+            [](const ChunkRecord &A, const ChunkRecord &B) {
+              return A.Location < B.Location;
+            });
+  std::vector<std::uint64_t> Locations;
+  Locations.reserve(Records.size());
+  for (const ChunkRecord &Record : Records)
+    Locations.push_back(Record.Location);
+  Pipeline.reader().visitLocations(
+      Locations,
+      [&](std::size_t I, const ByteVector &Chunk) {
+        ++Report.ChunksScanned;
+        // A failed read delivers an empty chunk. A decoded one is
+        // re-fingerprinted: the block CRC catches payload corruption;
+        // this catches a block swapped for another valid one
+        // (misdirected write).
+        if (!Chunk.empty() && Fingerprint::ofData(Chunk) == Records[I].Fp)
+          return;
+        ++Report.CorruptChunks;
+        Report.BadLocations.push_back(Records[I].Location);
+      },
+      /*BypassCache=*/true);
   return Report;
 }
 

@@ -33,6 +33,10 @@
 
 namespace padre {
 
+namespace restore {
+class ReadPipeline;
+} // namespace restore
+
 /// Volume geometry.
 struct VolumeConfig {
   /// Addressable blocks; block size equals the pipeline chunk size.
@@ -92,10 +96,12 @@ public:
   void applyChunkWrites(std::uint64_t Lba,
                         std::span<const ChunkWriteInfo> Infos);
 
-  /// Reads \p Count blocks at \p Lba. Unmapped blocks read as zeros.
-  /// Returns nullopt on out-of-range or store corruption.
-  std::optional<ByteVector> readBlocks(std::uint64_t Lba,
-                                       std::uint64_t Count);
+  /// Reads \p Count blocks at \p Lba as one batch through the restore
+  /// engine: \p Engine when given (restore::VolumeReader passes its
+  /// own), else the pipeline's reader(). Unmapped blocks read as zeros.
+  /// Returns nullopt on out-of-range or a failed chunk read.
+  std::optional<ByteVector> readBlocks(std::uint64_t Lba, std::uint64_t Count,
+                                       restore::ReadPipeline *Engine = nullptr);
 
   /// Discards \p Count blocks at \p Lba (TRIM). Returns false only
   /// for invalid ranges.
@@ -120,11 +126,12 @@ public:
   /// (collectable). Returns false for unknown ids.
   bool deleteSnapshot(SnapshotId Id);
 
-  /// Reads \p Count blocks at \p Lba as of snapshot \p Id. Unmapped
-  /// blocks read as zeros; nullopt on bad id/range or corruption.
-  std::optional<ByteVector> readSnapshotBlocks(SnapshotId Id,
-                                               std::uint64_t Lba,
-                                               std::uint64_t Count);
+  /// Reads \p Count blocks at \p Lba as of snapshot \p Id, like
+  /// readBlocks. Unmapped blocks read as zeros; nullopt on bad id/range
+  /// or a failed chunk read.
+  std::optional<ByteVector>
+  readSnapshotBlocks(SnapshotId Id, std::uint64_t Lba, std::uint64_t Count,
+                     restore::ReadPipeline *Engine = nullptr);
 
   /// Ids of live snapshots, oldest first.
   std::vector<SnapshotId> snapshotIds() const;
@@ -141,11 +148,10 @@ public:
     std::vector<std::uint64_t> BadLocations;
   };
 
-  /// Reads every tracked chunk back, decodes it, and re-fingerprints
-  /// the content (charging the SSD reads and CPU hashing). A dedup
-  /// store must scrub: one corrupt shared chunk silently damages every
-  /// logical block that references it. Covers the whole reference
-  /// domain.
+  /// Reads every tracked chunk back as batched cache-bypassing reads,
+  /// decodes it, and re-fingerprints the content. A dedup store must
+  /// scrub: one corrupt shared chunk silently damages every logical
+  /// block that references it. Covers the whole reference domain.
   ScrubReport scrub();
 
   struct ScrubRepairReport {
@@ -237,11 +243,11 @@ private:
   bool writeBlocksImpl(std::uint64_t Lba, ByteSpan Data, bool Raw,
                        std::vector<ChunkWriteInfo> *InfoOut);
 
-  /// Reads \p Count blocks at \p Lba through \p Map (the live mapping
-  /// or a snapshot's). Unmapped blocks read as zeros.
+  /// The one mapping walk: reads \p Count blocks at \p Lba through
+  /// \p Map (the live mapping or a snapshot's) as one location batch.
   std::optional<ByteVector> readMapped(const std::vector<std::uint64_t> &Map,
-                                       std::uint64_t Lba,
-                                       std::uint64_t Count);
+                                       std::uint64_t Lba, std::uint64_t Count,
+                                       restore::ReadPipeline *Engine);
 
   ReductionPipeline &Pipeline;
   VolumeConfig Config;

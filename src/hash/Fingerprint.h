@@ -15,7 +15,9 @@
 #include "hash/Sha1.h"
 #include "util/Bytes.h"
 
+#include <algorithm>
 #include <array>
+#include <cassert>
 #include <compare>
 #include <cstdint>
 #include <string>
@@ -34,6 +36,14 @@ public:
   /// Fingerprint of \p Data (SHA-1).
   static Fingerprint ofData(ByteSpan Data) {
     return Fingerprint(Sha1::digest(Data));
+  }
+
+  /// The fingerprint whose raw digest is \p Digest (Size bytes).
+  static Fingerprint fromBytes(ByteSpan Digest) {
+    assert(Digest.size() == Size && "Digest size mismatch");
+    Sha1::Digest Raw;
+    std::copy(Digest.begin(), Digest.end(), Raw.begin());
+    return Fingerprint(Raw);
   }
 
   /// Raw digest bytes.

@@ -11,7 +11,6 @@
 #include "hash/Crc32.h"
 
 #include <algorithm>
-#include <cstring>
 
 using namespace padre;
 using namespace padre::journal;
@@ -20,74 +19,13 @@ using padre::fault::Status;
 
 namespace {
 
-void appendLe32(ByteVector &Out, std::uint32_t Value) {
-  std::uint8_t Buf[4];
-  storeLe32(Buf, Value);
-  Out.insert(Out.end(), Buf, Buf + 4);
+bool readFingerprint(ByteReader &Reader, Fingerprint &Out) {
+  ByteSpan Raw;
+  if (!Reader.readBytes(Fingerprint::Size, Raw))
+    return false;
+  Out = Fingerprint::fromBytes(Raw);
+  return true;
 }
-
-void appendLe64(ByteVector &Out, std::uint64_t Value) {
-  std::uint8_t Buf[8];
-  storeLe64(Buf, Value);
-  Out.insert(Out.end(), Buf, Buf + 8);
-}
-
-/// Bounds-checked sequential reader over a byte span. Every accessor
-/// reports success so malformed input can never read out of bounds.
-class ByteReader {
-public:
-  explicit ByteReader(ByteSpan Data) : Data(Data) {}
-
-  std::size_t position() const { return Pos; }
-  std::size_t remaining() const { return Data.size() - Pos; }
-  bool atEnd() const { return Pos == Data.size(); }
-
-  bool readU8(std::uint8_t &Out) {
-    if (remaining() < 1)
-      return false;
-    Out = Data[Pos];
-    Pos += 1;
-    return true;
-  }
-
-  bool readU32(std::uint32_t &Out) {
-    if (remaining() < 4)
-      return false;
-    Out = loadLe32(Data.data() + Pos);
-    Pos += 4;
-    return true;
-  }
-
-  bool readU64(std::uint64_t &Out) {
-    if (remaining() < 8)
-      return false;
-    Out = loadLe64(Data.data() + Pos);
-    Pos += 8;
-    return true;
-  }
-
-  bool readBytes(std::size_t Count, ByteSpan &Out) {
-    if (remaining() < Count)
-      return false;
-    Out = ByteSpan(Data.data() + Pos, Count);
-    Pos += Count;
-    return true;
-  }
-
-  bool readFingerprint(Fingerprint &Out) {
-    ByteSpan Raw;
-    if (!readBytes(Fingerprint::Size, Raw))
-      return false;
-    Sha1::Digest Digest;
-    std::memcpy(Digest.data(), Raw.data(), Fingerprint::Size);
-    Out = Fingerprint(Digest);
-    return true;
-  }
-
-private:
-  ByteSpan Data;
-  std::size_t Pos = 0;
-};
 
 void appendFingerprint(ByteVector &Out, const Fingerprint &Fp) {
   Out.insert(Out.end(), Fp.bytes().begin(), Fp.bytes().end());
@@ -140,7 +78,7 @@ std::uint64_t encodeBody(const JournalRecord &Record, ByteVector &Out) {
 bool decodePayload(ByteSpan Payload, JournalRecord &Out) {
   ByteReader Reader(Payload);
   std::uint8_t TypeByte = 0;
-  if (!Reader.readU64(Out.Seq) || !Reader.readU8(TypeByte))
+  if (!Reader.readLe64(Out.Seq) || !Reader.readU8(TypeByte))
     return false;
   if (TypeByte > static_cast<std::uint8_t>(RecordType::Gc))
     return false;
@@ -152,7 +90,7 @@ bool decodePayload(ByteSpan Payload, JournalRecord &Out) {
     // bytes could actually encode so a crafted payload cannot force a
     // huge allocation — the per-element reads then fail naturally.
     std::uint32_t ChunkCount = 0;
-    if (!Reader.readU32(ChunkCount))
+    if (!Reader.readLe32(ChunkCount))
       return false;
     Out.Chunks.reserve(
         std::min<std::size_t>(ChunkCount, Reader.remaining() / (12 + Fingerprint::Size)));
@@ -160,33 +98,33 @@ bool decodePayload(ByteSpan Payload, JournalRecord &Out) {
       NewChunk Chunk;
       std::uint32_t EncodedSize = 0;
       ByteSpan Encoded;
-      if (!Reader.readU64(Chunk.Location) ||
-          !Reader.readFingerprint(Chunk.Fp) || !Reader.readU32(EncodedSize) ||
+      if (!Reader.readLe64(Chunk.Location) ||
+          !readFingerprint(Reader, Chunk.Fp) || !Reader.readLe32(EncodedSize) ||
           !Reader.readBytes(EncodedSize, Encoded))
         return false;
       Chunk.Encoded.assign(Encoded.begin(), Encoded.end());
       Out.Chunks.push_back(std::move(Chunk));
     }
     std::uint32_t UpdateCount = 0;
-    if (!Reader.readU32(UpdateCount))
+    if (!Reader.readLe32(UpdateCount))
       return false;
     Out.Updates.reserve(
         std::min<std::size_t>(UpdateCount, Reader.remaining() / (16 + Fingerprint::Size)));
     for (std::uint32_t I = 0; I < UpdateCount; ++I) {
       MapUpdate Update;
-      if (!Reader.readU64(Update.Lba) || !Reader.readU64(Update.Location) ||
-          !Reader.readFingerprint(Update.Fp))
+      if (!Reader.readLe64(Update.Lba) || !Reader.readLe64(Update.Location) ||
+          !readFingerprint(Reader, Update.Fp))
         return false;
       Out.Updates.push_back(Update);
     }
     std::uint32_t DeltaCount = 0;
-    if (!Reader.readU32(DeltaCount))
+    if (!Reader.readLe32(DeltaCount))
       return false;
     Out.Deltas.reserve(std::min<std::size_t>(DeltaCount, Reader.remaining() / 16));
     for (std::uint32_t I = 0; I < DeltaCount; ++I) {
       RefDelta Delta;
       std::uint64_t Raw = 0;
-      if (!Reader.readU64(Delta.Location) || !Reader.readU64(Raw))
+      if (!Reader.readLe64(Delta.Location) || !Reader.readLe64(Raw))
         return false;
       Delta.Delta = static_cast<std::int64_t>(Raw);
       Out.Deltas.push_back(Delta);
@@ -194,16 +132,16 @@ bool decodePayload(ByteSpan Payload, JournalRecord &Out) {
     break;
   }
   case RecordType::Trim:
-    if (!Reader.readU64(Out.Lba) || !Reader.readU64(Out.Count))
+    if (!Reader.readLe64(Out.Lba) || !Reader.readLe64(Out.Count))
       return false;
     break;
   case RecordType::SnapshotCreate:
   case RecordType::SnapshotDelete:
-    if (!Reader.readU64(Out.SnapshotId))
+    if (!Reader.readLe64(Out.SnapshotId))
       return false;
     break;
   case RecordType::Gc:
-    if (!Reader.readU64(Out.Collected))
+    if (!Reader.readLe64(Out.Collected))
       return false;
     break;
   }
@@ -246,12 +184,12 @@ fault::Expected<JournalScan> journal::scanJournal(ByteSpan File) {
   std::uint64_t Magic = 0;
   std::uint32_t Version = 0;
   std::uint32_t Crc = 0;
-  Reader.readU64(Magic);
-  Reader.readU32(Version);
-  Reader.readU32(Scan.Header.ChunkSize);
-  Reader.readU64(Scan.Header.BlockCount);
-  Reader.readU64(Scan.Header.BaseSeq);
-  Reader.readU32(Crc);
+  Reader.readLe64(Magic);
+  Reader.readLe32(Version);
+  Reader.readLe32(Scan.Header.ChunkSize);
+  Reader.readLe64(Scan.Header.BlockCount);
+  Reader.readLe64(Scan.Header.BaseSeq);
+  Reader.readLe32(Crc);
   if (Magic != JournalMagic)
     return Status::error(ErrorCode::JournalCorrupt);
   if (Version != JournalVersion)
@@ -265,7 +203,7 @@ fault::Expected<JournalScan> journal::scanJournal(ByteSpan File) {
     std::uint32_t PayloadSize = 0;
     std::uint32_t PayloadCrc = 0;
     ByteSpan Payload;
-    if (!Reader.readU32(PayloadSize) || !Reader.readU32(PayloadCrc) ||
+    if (!Reader.readLe32(PayloadSize) || !Reader.readLe32(PayloadCrc) ||
         !Reader.readBytes(PayloadSize, Payload) ||
         crc32c(Payload) != PayloadCrc) {
       Scan.TornBytes = File.size() - FrameStart;
@@ -304,10 +242,10 @@ fault::Expected<CheckpointView> journal::scanCheckpoint(ByteSpan File) {
   std::uint32_t Version = 0;
   CheckpointView View;
   std::uint64_t ImageSize = 0;
-  Reader.readU64(Magic);
-  Reader.readU32(Version);
-  Reader.readU64(View.CoveredSeq);
-  Reader.readU64(ImageSize);
+  Reader.readLe64(Magic);
+  Reader.readLe32(Version);
+  Reader.readLe64(View.CoveredSeq);
+  Reader.readLe64(ImageSize);
   if (Magic != CheckpointMagic)
     return Status::error(ErrorCode::ImageCorrupt);
   if (Version != CheckpointVersion)

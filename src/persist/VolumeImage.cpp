@@ -26,60 +26,6 @@ constexpr std::size_t SuperblockSize = 8 + 4 + 4 + 8 + 8 + 8;
 constexpr std::size_t ChunkRecordHeader = 8 + 4 + 4 + Fingerprint::Size;
 constexpr std::size_t MappingRecordSize = 16;
 
-void appendLe32(ByteVector &Out, std::uint32_t Value) {
-  std::uint8_t Buffer[4];
-  storeLe32(Buffer, Value);
-  appendBytes(Out, ByteSpan(Buffer, 4));
-}
-
-void appendLe64(ByteVector &Out, std::uint64_t Value) {
-  std::uint8_t Buffer[8];
-  storeLe64(Buffer, Value);
-  appendBytes(Out, ByteSpan(Buffer, 8));
-}
-
-/// Bounds-checked sequential reader over the loaded image.
-class ImageReader {
-public:
-  explicit ImageReader(ByteSpan Data) : Data(Data) {}
-
-  bool readLe32(std::uint32_t &Value) {
-    if (Position + 4 > Data.size())
-      return false;
-    Value = loadLe32(Data.data() + Position);
-    Position += 4;
-    return true;
-  }
-  bool readLe64(std::uint64_t &Value) {
-    if (Position + 8 > Data.size())
-      return false;
-    Value = loadLe64(Data.data() + Position);
-    Position += 8;
-    return true;
-  }
-  bool readBytes(std::uint8_t *Out, std::size_t Count) {
-    if (Position + Count > Data.size())
-      return false;
-    std::copy(Data.begin() + Position, Data.begin() + Position + Count,
-              Out);
-    Position += Count;
-    return true;
-  }
-  bool readSpan(std::size_t Count, ByteSpan &Out) {
-    if (Position + Count > Data.size())
-      return false;
-    Out = Data.subspan(Position, Count);
-    Position += Count;
-    return true;
-  }
-  std::size_t position() const { return Position; }
-  bool atEnd() const { return Position == Data.size(); }
-
-private:
-  ByteSpan Data;
-  std::size_t Position = 0;
-};
-
 } // namespace
 
 ImageResult ImageResult::failure(fault::Status St, std::string Why) {
@@ -179,7 +125,7 @@ Status padre::decodeVolumeImage(ByteSpan Image, ReductionPipeline &Pipeline,
   if (crc32c(Image.subspan(0, Image.size() - 4)) != StoredCrc)
     return Status::error(ErrorCode::ImageCorrupt);
 
-  ImageReader Reader(Image.subspan(0, Image.size() - 4));
+  ByteReader Reader(Image.subspan(0, Image.size() - 4));
   std::uint64_t Magic, BlockCount, ChunkCount, MappedCount;
   std::uint32_t Version, ChunkSize;
   if (!Reader.readLe64(Magic) || !Reader.readLe32(Version) ||
@@ -207,14 +153,14 @@ Status padre::decodeVolumeImage(ByteSpan Image, ReductionPipeline &Pipeline,
   for (std::uint64_t I = 0; I < ChunkCount; ++I) {
     Volume::ChunkRecord Record;
     std::uint32_t EncodedSize;
-    std::array<std::uint8_t, Fingerprint::Size> Digest;
+    ByteSpan Digest;
     if (!Reader.readLe64(Record.Location) ||
         !Reader.readLe32(EncodedSize) || !Reader.readLe32(Record.Refs) ||
-        !Reader.readBytes(Digest.data(), Digest.size()))
+        !Reader.readBytes(Fingerprint::Size, Digest))
       return Status::error(ErrorCode::ImageCorrupt);
-    Record.Fp = Fingerprint(Digest);
+    Record.Fp = Fingerprint::fromBytes(Digest);
     ByteSpan Block;
-    if (!Reader.readSpan(EncodedSize, Block))
+    if (!Reader.readBytes(EncodedSize, Block))
       return Status::error(ErrorCode::ImageCorrupt);
     if (!decodeBlock(Block))
       return Status::error(ErrorCode::ImageCorrupt, Record.Location);

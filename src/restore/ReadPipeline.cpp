@@ -106,7 +106,8 @@ void ReadPipeline::resetMeasurement() {
 
 bool ReadPipeline::readLocations(std::span<const std::uint64_t> Locations,
                                  std::vector<ByteVector> &Out,
-                                 std::vector<ReadFailure> *Failures) {
+                                 std::vector<ReadFailure> *Failures,
+                                 bool BypassCache) {
   // Every batch runs even after a failure: a mid-stream bad chunk must
   // not strand the remaining fetches (the caller may be restoring
   // everything else around a known-lost chunk).
@@ -115,25 +116,42 @@ bool ReadPipeline::readLocations(std::span<const std::uint64_t> Locations,
        Begin += Config.BatchDepth) {
     const std::size_t End =
         std::min(Locations.size(), Begin + Config.BatchDepth);
-    if (!processBatch(Locations.subspan(Begin, End - Begin), Out, Failures))
+    if (!processBatch(Locations.subspan(Begin, End - Begin), Out, Failures,
+                      BypassCache))
       Ok = false;
+  }
+  return Ok;
+}
+
+bool ReadPipeline::visitLocations(
+    std::span<const std::uint64_t> Locations,
+    const std::function<void(std::size_t, const ByteVector &)> &Visit,
+    bool BypassCache) {
+  bool Ok = true;
+  std::vector<ByteVector> Chunks;
+  for (std::size_t Begin = 0; Begin < Locations.size();
+       Begin += Config.BatchDepth) {
+    const std::size_t End =
+        std::min(Locations.size(), Begin + Config.BatchDepth);
+    Chunks.clear();
+    if (!processBatch(Locations.subspan(Begin, End - Begin), Chunks,
+                      nullptr, BypassCache))
+      Ok = false;
+    for (std::size_t I = Begin; I < End; ++I)
+      Visit(I, Chunks[I - Begin]);
   }
   return Ok;
 }
 
 std::optional<ByteVector>
 ReadPipeline::readStream(const StreamRecipe &Recipe) {
-  std::vector<ByteVector> Chunks;
-  Chunks.reserve(Recipe.ChunkLocations.size());
-  if (!readLocations(std::span<const std::uint64_t>(
-                         Recipe.ChunkLocations.data(),
-                         Recipe.ChunkLocations.size()),
-                     Chunks))
-    return std::nullopt;
   ByteVector Stream;
   Stream.reserve(Recipe.logicalBytes());
-  for (const ByteVector &Chunk : Chunks)
-    appendBytes(Stream, ByteSpan(Chunk.data(), Chunk.size()));
+  if (!visitLocations(Recipe.ChunkLocations,
+                      [&](std::size_t, const ByteVector &Chunk) {
+                        appendBytes(Stream, Chunk);
+                      }))
+    return std::nullopt;
   return Stream;
 }
 
@@ -141,18 +159,22 @@ void ReadPipeline::noteFailure(std::uint64_t Location) {
   ++DecodeFailures;
   if (DecodeFailTotal)
     DecodeFailTotal->add(1);
-  // A corrupt block must not leave a stale good copy behind (the same
-  // invariant ReductionPipeline::readChunk enforces).
+  // A corrupt block must not leave a stale good copy behind — bypass
+  // reads included: scrub is exactly when corruption surfaces, and a
+  // later cached read must not mask it.
   if (ChunkCache *Cache = Pipe.readCache())
     Cache->invalidate(Location);
 }
 
 bool ReadPipeline::processBatch(std::span<const std::uint64_t> Locations,
                                 std::vector<ByteVector> &Out,
-                                std::vector<ReadFailure> *Failures) {
+                                std::vector<ReadFailure> *Failures,
+                                bool BypassCache) {
   ResourceLedger &Ledger = Pipe.ledger();
   obs::TraceRecorder *Trace = Pipe.config().Trace;
-  ChunkCache *Cache = Pipe.readCache();
+  // A bypass read neither consults nor fills the cache (readahead
+  // included); failures still invalidate it (noteFailure).
+  ChunkCache *Cache = BypassCache ? nullptr : Pipe.readCache();
   const ChunkStore &Store = Pipe.store();
 
   // Batch-scoped scratch (request tables, warp sub-block tables) lives
@@ -402,25 +424,9 @@ void ReadPipeline::decodeCpu(const std::vector<BatchItem *> &Items) {
         double Micros = 0.0;
         for (std::size_t I = Begin; I < End; ++I) {
           BatchItem &Item = *Items[I];
-          double Us = Model.Cpu.DecompressSetupUs;
-          switch (Item.Method) {
-          case BlockMethod::Raw:
-            // No token decode — a DRAM copy out of the block.
-            Us += Model.Cpu.CacheCopyPerByteNs * 1e-3 *
-                  static_cast<double>(Item.OriginalSize);
-            break;
-          case BlockMethod::LzHuff:
-            // Serial entropy stage over the payload, then the LZ pass.
-            Us += (Model.Cpu.HuffmanPerByteNs * 1e-3 *
-                   static_cast<double>(Item.Payload.size())) +
-                  (Model.Cpu.DecompressPerByteNs * 1e-3 *
-                   static_cast<double>(Item.OriginalSize));
-            break;
-          default:
-            Us += Model.Cpu.DecompressPerByteNs * 1e-3 *
-                  static_cast<double>(Item.OriginalSize);
-            break;
-          }
+          const double Us = Model.cpuDecodeUs(
+              Item.OriginalSize, Item.Method == BlockMethod::Raw,
+              Item.Method == BlockMethod::LzHuff ? Item.Payload.size() : 0);
           Micros += Us;
           Item.DecodeUs += Us;
           const BlockView View{Item.Method, Item.OriginalSize,
@@ -583,11 +589,7 @@ ReadPipeline::ProbeResult ReadPipeline::probeMode() const {
   const double PayloadBytes = static_cast<double>(Probe.Payload.size());
 
   // CPU pool: chunk-parallel, bottlenecked by the pool itself.
-  Result.CpuUs = Depth *
-                 (Model.Cpu.DecompressSetupUs +
-                  Model.Cpu.DecompressPerByteNs * 1e-3 *
-                      static_cast<double>(ChunkSize)) /
-                 Threads;
+  Result.CpuUs = Depth * Model.cpuDecodeUs(ChunkSize, false, 0) / Threads;
 
   // The framed format's measured ratio cost on the probe chunk (the
   // history reset + header overhead the two-level scheme trades for

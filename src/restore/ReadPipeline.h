@@ -49,6 +49,7 @@
 #include "util/Arena.h"
 #include "util/Stats.h"
 
+#include <functional>
 #include <memory>
 #include <optional>
 #include <span>
@@ -78,8 +79,10 @@ struct ReadConfig {
 };
 
 /// The batched restore engine over a reduction pipeline's store, cache,
-/// SSD and (optional) GPU. Single-caller semantics like Volume: the
-/// parallelism lives inside the batch stages.
+/// SSD and (optional) GPU — the only code that reads a stored chunk
+/// (ReductionPipeline::reader() owns one; restore::VolumeReader brings
+/// its own). Single-caller semantics like Volume: the parallelism lives
+/// inside the batch stages.
 class ReadPipeline {
 public:
   /// \p Pipeline supplies the store, ledger, pool, SSD, cache and
@@ -100,13 +103,26 @@ public:
   /// non-null — one ReadFailure per failed location records the typed
   /// cause. Returns true iff every requested chunk was delivered.
   /// Failures are counted and any stale cache entry invalidated.
+  /// \p BypassCache forces the flash path: the cache is neither
+  /// consulted nor filled (scrubbing must not certify cached copies).
   bool readLocations(std::span<const std::uint64_t> Locations,
                      std::vector<ByteVector> &Out,
-                     std::vector<ReadFailure> *Failures = nullptr);
+                     std::vector<ReadFailure> *Failures = nullptr,
+                     bool BypassCache = false);
+
+  /// readLocations for callers that consume chunks as they arrive: each
+  /// requested chunk goes to \p Visit(Index, Chunk) in request order —
+  /// an empty Chunk when its read failed — one batch at a time, so only
+  /// one batch of decoded chunks is held at once. Returns true iff every
+  /// requested chunk was delivered.
+  bool visitLocations(
+      std::span<const std::uint64_t> Locations,
+      const std::function<void(std::size_t, const ByteVector &)> &Visit,
+      bool BypassCache = false);
 
   /// Reconstructs a whole stream from \p Recipe through the batched
-  /// path — the restore mirror of ReductionPipeline::readBack().
-  /// Returns nullopt on any missing/corrupt chunk.
+  /// path (ReductionPipeline::readBack() forwards here). Returns
+  /// nullopt on any missing/corrupt chunk.
   std::optional<ByteVector> readStream(const StreamRecipe &Recipe);
 
   /// The mode batches actually run in: never Auto — the probe resolved
@@ -160,7 +176,7 @@ private:
 
   bool processBatch(std::span<const std::uint64_t> Locations,
                     std::vector<ByteVector> &Out,
-                    std::vector<ReadFailure> *Failures);
+                    std::vector<ReadFailure> *Failures, bool BypassCache);
   void decodeCpu(const std::vector<BatchItem *> &Items);
   void decodeWarp(const std::vector<BatchItem *> &Items);
   void noteFailure(std::uint64_t Location);

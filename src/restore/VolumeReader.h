@@ -1,13 +1,13 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Batched LBA reads over a Volume — the restore pipeline surfaced at
-/// the block-device frontend. Volume::readBlocks walks its mapping one
-/// chunk at a time through ReductionPipeline::readChunk; this reader
-/// gathers a whole LBA range into one location batch so the restore
-/// engine can coalesce the SSD fetches and amortize the GPU decode
-/// launch across the range. Snapshot reads take the same path through
-/// the snapshot's captured mapping.
+/// Batched LBA reads over a Volume with a restore engine of their own.
+/// Volume::readBlocks already reads a whole LBA range as one location
+/// batch through the pipeline's default engine; a VolumeReader runs
+/// the same mapping walk through an engine built with the caller's
+/// ReadConfig (batch depth, decode mode, readahead), whose report then
+/// measures exactly this reader's traffic. Snapshot reads take the
+/// same path through the snapshot's captured mapping.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -25,28 +25,29 @@ namespace restore {
 /// pipeline) must outlive the reader.
 class VolumeReader {
 public:
-  VolumeReader(Volume &Vol, const ReadConfig &Config = ReadConfig());
+  VolumeReader(Volume &Vol, const ReadConfig &Config = ReadConfig())
+      : Vol(Vol), Pipe(Vol.pipelineForMaintenance(), Config) {}
 
-  /// Reads \p Count blocks at \p Lba through the batched restore
-  /// pipeline. Unmapped blocks read as zeros. Returns nullopt on
-  /// out-of-range or store corruption (mirrors Volume::readBlocks).
+  /// Reads \p Count blocks at \p Lba through this reader's engine.
+  /// Unmapped blocks read as zeros. Returns nullopt on out-of-range or
+  /// store corruption (Volume::readBlocks with this engine).
   std::optional<ByteVector> readBlocks(std::uint64_t Lba,
-                                       std::uint64_t Count);
+                                       std::uint64_t Count) {
+    return Vol.readBlocks(Lba, Count, &Pipe);
+  }
 
   /// Reads \p Count blocks at \p Lba as of snapshot \p Id. Unmapped
   /// blocks read as zeros; nullopt on bad id/range or corruption.
   std::optional<ByteVector> readSnapshotBlocks(Volume::SnapshotId Id,
                                                std::uint64_t Lba,
-                                               std::uint64_t Count);
+                                               std::uint64_t Count) {
+    return Vol.readSnapshotBlocks(Id, Lba, Count, &Pipe);
+  }
 
   ReadPipeline &pipeline() { return Pipe; }
   const ReadPipeline &pipeline() const { return Pipe; }
 
 private:
-  std::optional<ByteVector>
-  readMapped(const std::vector<std::uint64_t> &Mapping, std::uint64_t Lba,
-             std::uint64_t Count);
-
   Volume &Vol;
   ReadPipeline Pipe;
 };

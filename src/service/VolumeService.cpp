@@ -13,6 +13,18 @@
 
 using namespace padre;
 
+namespace {
+
+/// EWMA smoothing factor for per-tenant locality scores.
+constexpr double LocalityAlpha = 0.25;
+/// A demoted tenant gets one inline "probe" run every this many rounds
+/// so a stream that turns hot can re-earn residency.
+constexpr std::uint64_t ProbePeriodRounds = 8;
+/// Run length of the deferred-dedup background sweeps.
+constexpr std::uint64_t SweepRunBlocks = 64;
+
+} // namespace
+
 VolumeService::VolumeService(const Platform &Plat,
                              const ServiceConfig &Config)
     : Config(Config), Pipeline(Plat, Config.Pipeline),
@@ -113,16 +125,14 @@ void VolumeService::noteInlineRun(TenantState &T,
   T.PeakTrackedFps = std::max(T.PeakTrackedFps, T.TrackedFps.size());
   const double Fraction =
       static_cast<double>(Dups) / static_cast<double>(Info.size());
-  T.Locality = Config.LocalityAlpha * Fraction +
-               (1.0 - Config.LocalityAlpha) * T.Locality;
+  T.Locality = LocalityAlpha * Fraction + (1.0 - LocalityAlpha) * T.Locality;
   if (LocalityHist)
     LocalityHist->observe(T.Locality);
 }
 
 bool VolumeService::decideInline(TenantState &T) {
   const bool Probe =
-      !T.Resident && Config.ProbePeriodRounds != 0 &&
-      Round - T.LastInlineRound >= Config.ProbePeriodRounds;
+      !T.Resident && Round - T.LastInlineRound >= ProbePeriodRounds;
   const bool Inline = T.Resident || Probe;
   // Marked at decision time (not after the write) so a probing
   // tenant's later picks this round see the probe spent — the decision
@@ -313,7 +323,7 @@ ServiceSweepStats VolumeService::sweepDeferred() {
                               "svc:sweep", obs::CategorySvc);
     std::vector<ChunkWriteInfo> Info;
     const BackgroundReduceStats SweepStats =
-        backgroundReduce(*T.Vol, Config.SweepRunBlocks, &Info);
+        backgroundReduce(*T.Vol, SweepRunBlocks, &Info);
     T.NeedsSweep = false;
     ++Stats.TenantsSwept;
     Stats.BlocksProcessed += SweepStats.BlocksProcessed;

@@ -77,13 +77,6 @@ struct ServiceConfig {
   CachePolicy Policy = CachePolicy::Prioritized;
   /// Blocks of dispatch credit per weight unit per round.
   std::uint64_t DispatchRunBlocks = 64;
-  /// EWMA smoothing factor for per-tenant locality scores.
-  double LocalityAlpha = 0.25;
-  /// A demoted tenant gets one inline "probe" run every this many
-  /// rounds so a stream that turns hot can re-earn residency.
-  std::uint64_t ProbePeriodRounds = 8;
-  /// Run length of the deferred-dedup background sweeps.
-  std::uint64_t SweepRunBlocks = 64;
   /// Coalesced dispatch: each fair-share round's inline runs are
   /// ingested as ONE combined pipeline write
   /// (ReductionPipeline::writeV), so batches span runs and fill the

@@ -71,11 +71,9 @@ struct CpuCosts {
   double StoreRawPostUs = 5.0;
   /// LZ decompression (read path), per original byte.
   double DecompressPerByteNs = 2.5;
-  /// Fixed per-chunk decode-call setup on the batched restore path
-  /// (block header parse, CRC check, output allocation). The serial
-  /// `readChunk` path folds this into its per-byte charge; the restore
-  /// engine models it explicitly so shallow batches pay the true fixed
-  /// costs. (See src/restore/ReadPipeline.h.)
+  /// Fixed per-chunk decode-call setup on the read path (block header
+  /// parse, CRC check, output allocation), so shallow batches pay the
+  /// true fixed costs. (See cpuDecodeUs and src/restore/ReadPipeline.h.)
   double DecompressSetupUs = 6.0;
   /// Warp-decode pre-parse on the CPU: reading a v2 frame header (see
   /// compress/SubBlockFrame.h) to build the sub-block table. O(N) in
@@ -233,6 +231,21 @@ struct CostModel {
                    Gpu.LzLiteralPerByteNs *
                        static_cast<double>(LiteralBytes) +
                    Gpu.LzMatchPerByteNs * static_cast<double>(MatchBytes));
+  }
+
+  /// CPU cost of decoding one stored chunk back to its \p OriginalBytes,
+  /// in microseconds: the per-call setup, then a DRAM copy out of a
+  /// \p StoredRaw block, or the LZ pass preceded by the serial entropy
+  /// stage over \p EntropyBytes (an LzHuff block's payload; 0 for plain
+  /// LZ methods).
+  double cpuDecodeUs(std::size_t OriginalBytes, bool StoredRaw,
+                     std::size_t EntropyBytes) const {
+    const double Original = static_cast<double>(OriginalBytes);
+    if (StoredRaw)
+      return Cpu.DecompressSetupUs + Cpu.CacheCopyPerByteNs * 1e-3 * Original;
+    return Cpu.DecompressSetupUs +
+           (Cpu.HuffmanPerByteNs * 1e-3 * static_cast<double>(EntropyBytes) +
+            Cpu.DecompressPerByteNs * 1e-3 * Original);
   }
 
   /// One sub-block's cost under the warp-cooperative decode kernel, in

@@ -83,3 +83,47 @@ std::string padre::formatThroughput(double Bytes, double Seconds) {
 void padre::appendBytes(ByteVector &Out, ByteSpan Suffix) {
   Out.insert(Out.end(), Suffix.begin(), Suffix.end());
 }
+
+void padre::appendLe32(ByteVector &Out, std::uint32_t Value) {
+  std::uint8_t Buffer[4];
+  storeLe32(Buffer, Value);
+  appendBytes(Out, ByteSpan(Buffer, 4));
+}
+
+void padre::appendLe64(ByteVector &Out, std::uint64_t Value) {
+  std::uint8_t Buffer[8];
+  storeLe64(Buffer, Value);
+  appendBytes(Out, ByteSpan(Buffer, 8));
+}
+
+bool ByteReader::readU8(std::uint8_t &Out) {
+  if (remaining() < 1)
+    return false;
+  Out = Data[Pos];
+  Pos += 1;
+  return true;
+}
+
+bool ByteReader::readLe32(std::uint32_t &Out) {
+  if (remaining() < 4)
+    return false;
+  Out = loadLe32(Data.data() + Pos);
+  Pos += 4;
+  return true;
+}
+
+bool ByteReader::readLe64(std::uint64_t &Out) {
+  if (remaining() < 8)
+    return false;
+  Out = loadLe64(Data.data() + Pos);
+  Pos += 8;
+  return true;
+}
+
+bool ByteReader::readBytes(std::size_t Count, ByteSpan &Out) {
+  if (remaining() < Count)
+    return false;
+  Out = Data.subspan(Pos, Count);
+  Pos += Count;
+  return true;
+}

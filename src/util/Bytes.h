@@ -2,8 +2,9 @@
 ///
 /// \file
 /// Byte-level helpers shared across padre: byte span aliases,
-/// little-endian load/store, hex formatting, and human-readable size /
-/// throughput formatting used by the benchmark harnesses.
+/// little-endian load/store/append, the bounds-checked reader the
+/// on-disk formats decode with, hex formatting, and human-readable
+/// size / throughput formatting used by the benchmark harnesses.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -46,6 +47,33 @@ std::string formatThroughput(double Bytes, double Seconds);
 
 /// Appends \p Suffix bytes to \p Out.
 void appendBytes(ByteVector &Out, ByteSpan Suffix);
+
+/// Appends \p Value to \p Out, little-endian.
+void appendLe32(ByteVector &Out, std::uint32_t Value);
+void appendLe64(ByteVector &Out, std::uint64_t Value);
+
+/// Bounds-checked sequential reader over a byte span — the decode side
+/// of the on-disk formats (volume images, journals, checkpoints). Every
+/// accessor reports success, so malformed input can never read out of
+/// bounds; a failed read leaves the position unchanged.
+class ByteReader {
+public:
+  explicit ByteReader(ByteSpan Data) : Data(Data) {}
+
+  std::size_t position() const { return Pos; }
+  std::size_t remaining() const { return Data.size() - Pos; }
+  bool atEnd() const { return Pos == Data.size(); }
+
+  bool readU8(std::uint8_t &Out);
+  bool readLe32(std::uint32_t &Out);
+  bool readLe64(std::uint64_t &Out);
+  /// Views the next \p Count bytes (no copy).
+  bool readBytes(std::size_t Count, ByteSpan &Out);
+
+private:
+  ByteSpan Data;
+  std::size_t Pos = 0;
+};
 
 } // namespace padre
 

@@ -307,6 +307,29 @@ TEST(FaultPipelineTest, PersistentSsdReadErrorSurfacesTypedError) {
   EXPECT_EQ(Pipeline.ssd().retryCount(), 2u);
 }
 
+TEST(FaultPipelineTest, ReadBackFailsOnExhaustedSsdRead) {
+  const ByteVector Data = makeStream(1 << 20);
+  fault::FaultPlan Plan;
+  Plan.Policy.MaxRetries = 2;
+  auto Rule = rule(fault::FaultSite::SsdRead,
+                   fault::FaultKind::LatentSectorError);
+  Rule.Probability = 1.0;
+  Plan.Rules.push_back(Rule);
+  fault::FaultInjector Injector(Plan);
+
+  PipelineConfig Config = pipelineConfig(PipelineMode::CpuOnly);
+  Config.Faults = &Injector;
+  ReductionPipeline Pipeline(Platform::paper(), Config);
+  ASSERT_TRUE(Pipeline.write(ByteSpan(Data.data(), Data.size())).ok());
+  ASSERT_TRUE(Pipeline.finish().ok());
+
+  // Every flash read gives up, so the stream cannot be reassembled —
+  // the store's intact bytes must not be returned as if they were read.
+  EXPECT_FALSE(Pipeline.readBack().has_value());
+  EXPECT_FALSE(Pipeline.verifyAgainst(ByteSpan(Data.data(), Data.size())));
+  EXPECT_GT(Pipeline.ssd().retryCount(), 0u);
+}
+
 TEST(FaultPipelineTest, PersistentSsdWriteErrorFailsWriteButKeepsData) {
   const ByteVector Data = makeStream(1 << 20);
   fault::FaultPlan Plan;

@@ -742,10 +742,7 @@ TEST_F(VolumeRestoreFixture, MixedTraceReplaysCleanThroughRestore) {
   Synth.Seed = 11;
   const TraceLog Log = TraceLog::synthesize(Synth);
   VolumeReader Reader(*Vol);
-  const TraceRunStats Stats = replayTrace(
-      *Vol, Log, [&](std::uint64_t Lba, std::uint64_t Count) {
-        return Reader.readBlocks(Lba, Count);
-      });
+  const TraceRunStats Stats = replayTrace(*Vol, Log, &Reader.pipeline());
   EXPECT_GT(Stats.Reads, 0u);
   EXPECT_EQ(Stats.ReadFailures, 0u);
   EXPECT_EQ(Stats.VerifyFailures, 0u);

@@ -11,11 +11,14 @@
 
 #include "core/BackgroundReducer.h"
 #include "core/Volume.h"
+#include "restore/VolumeReader.h"
 #include "util/Random.h"
 #include "workload/VdbenchStream.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
 #include <memory>
 
 using namespace padre;
@@ -410,6 +413,57 @@ TEST_F(VolumeFixture, ScrubDetectsMisdirectedBlock) {
                                                          Wrong.size()))));
   const Volume::ScrubReport Report = Vol->scrub();
   EXPECT_EQ(Report.CorruptChunks, 1u);
+}
+
+//===----------------------------------------------------------------------===//
+// One read engine: Volume::readBlocks and restore::VolumeReader run the
+// same mapping walk through the same batched engine, so twin volumes
+// deliver the same bytes at the same modelled price either way.
+//===----------------------------------------------------------------------===//
+
+TEST(VolumeRead, VolumeAndReaderShareOneEngine) {
+  for (const PipelineMode Mode :
+       {PipelineMode::CpuOnly, PipelineMode::GpuCompress}) {
+    SCOPED_TRACE(pipelineModeName(Mode));
+    PipelineConfig Config;
+    Config.Mode = Mode;
+    Config.Dedup.Index.BinBits = 8;
+    VolumeConfig VolConfig;
+    VolConfig.BlockCount = 512;
+    WorkloadConfig Stream;
+    Stream.TotalBytes = 384 * BlockSize; // the tail stays unmapped
+    const ByteVector Data = VdbenchStream(Stream).generateAll();
+
+    ReductionPipeline PipeA(Platform::paper(), Config);
+    ReductionPipeline PipeB(Platform::paper(), Config);
+    Volume VolA(PipeA, VolConfig);
+    Volume VolB(PipeB, VolConfig);
+    for (Volume *Vol : {&VolA, &VolB}) {
+      ASSERT_TRUE(Vol->writeBlocks(0, ByteSpan(Data.data(), Data.size())));
+      Vol->flush();
+    }
+
+    std::array<double, ResourceCount> BeforeA{}, BeforeB{};
+    for (unsigned R = 0; R < ResourceCount; ++R) {
+      BeforeA[R] = PipeA.ledger().busyMicros(static_cast<Resource>(R));
+      BeforeB[R] = PipeB.ledger().busyMicros(static_cast<Resource>(R));
+    }
+    const auto ViaVolume = VolA.readBlocks(0, VolConfig.BlockCount);
+    restore::VolumeReader Reader(VolB);
+    const auto ViaReader = Reader.readBlocks(0, VolConfig.BlockCount);
+    ASSERT_TRUE(ViaVolume.has_value());
+    ASSERT_TRUE(ViaReader.has_value());
+    EXPECT_EQ(*ViaVolume, *ViaReader);
+    EXPECT_TRUE(std::equal(Data.begin(), Data.end(), ViaVolume->begin()));
+    for (unsigned R = 0; R < ResourceCount; ++R) {
+      const Resource Lane = static_cast<Resource>(R);
+      EXPECT_EQ(PipeA.ledger().busyMicros(Lane) - BeforeA[R],
+                PipeB.ledger().busyMicros(Lane) - BeforeB[R])
+          << "resource " << R;
+    }
+    EXPECT_GT(PipeA.ledger().busyMicros(Resource::Ssd),
+              BeforeA[static_cast<unsigned>(Resource::Ssd)]);
+  }
 }
 
 //===----------------------------------------------------------------------===//

@@ -1193,10 +1193,7 @@ int commandTrace(const Options &OptsIn) {
   // Reads replay through the batched restore pipeline (the write path
   // stays the volume's own).
   restore::VolumeReader Reader(Vol, readConfigFor(Opts));
-  const TraceRunStats Stats =
-      replayTrace(Vol, Log, [&](std::uint64_t Lba, std::uint64_t Count) {
-        return Reader.readBlocks(Lba, Count);
-      });
+  const TraceRunStats Stats = replayTrace(Vol, Log, &Reader.pipeline());
   Vol.collectGarbage();
   Vol.flush();
   // Under a fault plan, scrub-and-repair: injected destage bit-flips
