@@ -220,15 +220,17 @@ fault::Expected<JournalScan> journal::scanJournal(ByteSpan File) {
   return Scan;
 }
 
-void journal::encodeCheckpoint(std::uint64_t CoveredSeq, ByteSpan Image,
-                               ByteVector &Out) {
-  const std::size_t Begin = Out.size();
-  appendLe64(Out, CheckpointMagic);
-  appendLe32(Out, CheckpointVersion);
-  appendLe64(Out, CoveredSeq);
-  appendLe64(Out, Image.size());
-  appendBytes(Out, Image);
-  appendLe32(Out, crc32c(ByteSpan(Out.data() + Begin, Out.size() - Begin)));
+CheckpointFrame journal::frameCheckpoint(std::uint64_t CoveredSeq,
+                                         ByteSpan Image) {
+  CheckpointFrame Frame;
+  std::uint8_t *Prefix = Frame.Prefix.data();
+  storeLe64(Prefix, CheckpointMagic);
+  storeLe32(Prefix + 8, CheckpointVersion);
+  storeLe64(Prefix + 12, CoveredSeq);
+  storeLe64(Prefix + 20, Image.size());
+  storeLe32(Frame.Trailer.data(),
+            crc32c(Image, crc32c(ByteSpan(Frame.Prefix))));
+  return Frame;
 }
 
 fault::Expected<CheckpointView> journal::scanCheckpoint(ByteSpan File) {

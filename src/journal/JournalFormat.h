@@ -36,6 +36,7 @@
 #include "hash/Fingerprint.h"
 #include "util/Bytes.h"
 
+#include <array>
 #include <vector>
 
 namespace padre {
@@ -138,9 +139,17 @@ struct JournalScan {
 /// payload, sequence discontinuity) or StateMismatch (version).
 fault::Expected<JournalScan> scanJournal(ByteSpan File);
 
-/// Builds a checkpoint container around an encoded volume image.
-void encodeCheckpoint(std::uint64_t CoveredSeq, ByteSpan Image,
-                      ByteVector &Out);
+/// A checkpoint container's framing: the file is Prefix, then the
+/// encoded volume image, then Trailer (the CRC-32C of both). Kept apart
+/// from the image so a checkpoint writes a store-sized image without
+/// copying it into a file-sized buffer.
+struct CheckpointFrame {
+  std::array<std::uint8_t, CheckpointPrefixSize> Prefix{};
+  std::array<std::uint8_t, 4> Trailer{};
+};
+
+/// Frames \p Image as the checkpoint covering \p CoveredSeq.
+CheckpointFrame frameCheckpoint(std::uint64_t CoveredSeq, ByteSpan Image);
 
 /// Parsed checkpoint container; Image points into the scanned buffer.
 struct CheckpointView {

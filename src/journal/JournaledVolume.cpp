@@ -246,8 +246,8 @@ fault::Status JournaledVolume::checkpoint() {
   ByteVector Image;
   if (const Status St = encodeVolumeImage(Vol, Pipeline, Image); !St.ok())
     return St;
-  ByteVector FileBytes;
-  encodeCheckpoint(Covered, ByteSpan(Image.data(), Image.size()), FileBytes);
+  const CheckpointFrame Frame =
+      frameCheckpoint(Covered, ByteSpan(Image.data(), Image.size()));
 
   // Temp file + rename: a crash mid-write leaves the previous
   // checkpoint intact; the torn temp file is simply ignored.
@@ -255,16 +255,18 @@ fault::Status JournaledVolume::checkpoint() {
   std::FILE *File = std::fopen(TmpPath.c_str(), "wb");
   if (!File)
     return Status::error(ErrorCode::IoError);
-  const bool Written =
-      std::fwrite(FileBytes.data(), 1, FileBytes.size(), File) ==
-          FileBytes.size() &&
-      std::fflush(File) == 0;
+  const auto Put = [File](ByteSpan Bytes) {
+    return std::fwrite(Bytes.data(), 1, Bytes.size(), File) == Bytes.size();
+  };
+  const bool Written = Put(Frame.Prefix) && Put(Image) &&
+                       Put(Frame.Trailer) && std::fflush(File) == 0;
   std::fclose(File);
   if (!Written || std::rename(TmpPath.c_str(), Config.CheckpointPath.c_str()))
     return Status::error(ErrorCode::IoError);
 
-  const Status WriteSt =
-      Pipeline.journalWrite(FileBytes.size(), "ckpt:write");
+  const Status WriteSt = Pipeline.journalWrite(
+      Frame.Prefix.size() + Image.size() + Frame.Trailer.size(),
+      "ckpt:write");
   if (!WriteSt.ok())
     return WriteSt;
 

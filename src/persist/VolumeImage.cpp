@@ -51,53 +51,62 @@ Status padre::encodeVolumeImage(const Volume &Vol,
   for (std::uint64_t Location : Mapping)
     MappedCount += Location != Volume::Unmapped;
 
-  // The CRC trailer covers everything appended by *this* call, so the
-  // image is built in a scratch buffer and spliced in at the end —
-  // callers may embed it after their own framing (journal checkpoints).
-  ByteVector Image;
-  Image.reserve(SuperblockSize + Pipeline.store().storedBytes() +
-                Records.size() * ChunkRecordHeader +
-                MappedCount * MappingRecordSize + 4);
-  appendLe64(Image, ImageMagic);
-  appendLe32(Image, ImageVersion);
-  appendLe32(Image, static_cast<std::uint32_t>(Vol.blockSize()));
-  appendLe64(Image, Vol.blockCount());
-  appendLe64(Image, Records.size());
-  appendLe64(Image, MappedCount);
+  // Snapshot tables (since format v2): id + sparse mapping each.
+  const Volume::SnapshotTable Snapshots = Vol.snapshotTable();
+  std::uint64_t SnapshotBytes = 8;
+  for (const auto &[Id, SnapMapping] : Snapshots) {
+    SnapshotBytes += 16;
+    for (std::uint64_t Location : SnapMapping)
+      SnapshotBytes += Location != Volume::Unmapped ? MappingRecordSize : 0;
+  }
+
+  // Encoded in place with exact capacity, so a store-sized image is
+  // neither staged in a second buffer nor regrown mid-encode. The CRC
+  // trailer covers everything appended by *this* call — callers may
+  // embed the image after their own framing.
+  const std::size_t Begin = Out.size();
+  Out.reserve(Begin + SuperblockSize + Pipeline.store().storedBytes() +
+              Records.size() * ChunkRecordHeader +
+              MappedCount * MappingRecordSize + SnapshotBytes + 8 + 4);
+  appendLe64(Out, ImageMagic);
+  appendLe32(Out, ImageVersion);
+  appendLe32(Out, static_cast<std::uint32_t>(Vol.blockSize()));
+  appendLe64(Out, Vol.blockCount());
+  appendLe64(Out, Records.size());
+  appendLe64(Out, MappedCount);
 
   for (const Volume::ChunkRecord &Record : Records) {
     const auto Block = Pipeline.store().encodedBlock(Record.Location);
-    if (!Block)
+    if (!Block) {
+      Out.resize(Begin);
       return Status::error(ErrorCode::ChunkMissing, Record.Location);
-    appendLe64(Image, Record.Location);
-    appendLe32(Image, static_cast<std::uint32_t>(Block->size()));
-    appendLe32(Image, Record.Refs);
-    appendBytes(Image, ByteSpan(Record.Fp.bytes().data(),
-                                Fingerprint::Size));
-    appendBytes(Image, *Block);
+    }
+    appendLe64(Out, Record.Location);
+    appendLe32(Out, static_cast<std::uint32_t>(Block->size()));
+    appendLe32(Out, Record.Refs);
+    appendBytes(Out, ByteSpan(Record.Fp.bytes().data(), Fingerprint::Size));
+    appendBytes(Out, *Block);
   }
 
   for (std::uint64_t Lba = 0; Lba < Mapping.size(); ++Lba) {
     if (Mapping[Lba] == Volume::Unmapped)
       continue;
-    appendLe64(Image, Lba);
-    appendLe64(Image, Mapping[Lba]);
+    appendLe64(Out, Lba);
+    appendLe64(Out, Mapping[Lba]);
   }
 
-  // Snapshot tables (since format v2): id + sparse mapping each.
-  const Volume::SnapshotTable Snapshots = Vol.snapshotTable();
-  appendLe64(Image, Snapshots.size());
+  appendLe64(Out, Snapshots.size());
   for (const auto &[Id, SnapMapping] : Snapshots) {
-    appendLe64(Image, Id);
+    appendLe64(Out, Id);
     std::uint64_t SnapMapped = 0;
     for (std::uint64_t Location : SnapMapping)
       SnapMapped += Location != Volume::Unmapped;
-    appendLe64(Image, SnapMapped);
+    appendLe64(Out, SnapMapped);
     for (std::uint64_t Lba = 0; Lba < SnapMapping.size(); ++Lba) {
       if (SnapMapping[Lba] == Volume::Unmapped)
         continue;
-      appendLe64(Image, Lba);
-      appendLe64(Image, SnapMapping[Lba]);
+      appendLe64(Out, Lba);
+      appendLe64(Out, SnapMapping[Lba]);
     }
   }
 
@@ -105,10 +114,9 @@ Status padre::encodeVolumeImage(const Volume &Vol,
   // so it cannot be recomputed from the live table: losing it would
   // reissue a deleted snapshot's id and break journal replay of
   // acknowledged SnapshotCreate records.
-  appendLe64(Image, Vol.nextSnapshotId());
+  appendLe64(Out, Vol.nextSnapshotId());
 
-  appendLe32(Image, crc32c(ByteSpan(Image.data(), Image.size())));
-  appendBytes(Out, ByteSpan(Image.data(), Image.size()));
+  appendLe32(Out, crc32c(ByteSpan(Out.data() + Begin, Out.size() - Begin)));
   return {};
 }
 

@@ -13,10 +13,12 @@
 #include "hash/Crc32.h"
 #include "journal/JournaledVolume.h"
 #include "journal/Recovery.h"
+#include "persist/VolumeImage.h"
 #include "util/Random.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <memory>
 #include <string>
@@ -678,6 +680,37 @@ TEST_F(JournalFixture, CheckpointCorruptionIsRejectedTyped) {
                   .St.code(),
               ErrorCode::ImageCorrupt);
   }
+}
+
+TEST_F(JournalFixture, CheckpointFileIsPrefixImageAndTrailer) {
+  auto Pipeline = makePipeline();
+  Volume Vol(*Pipeline, {BlockCount});
+  JournaledVolume Jv(Vol, *Pipeline, configOf());
+  for (std::uint64_t Op = 0; Op < 6; ++Op) {
+    const ByteVector Data = blockOf(Op);
+    ASSERT_TRUE(Jv.writeBlocks(Op, ByteSpan(Data.data(), Data.size())).ok());
+  }
+  ASSERT_TRUE(Jv.createSnapshot().ok());
+  ASSERT_TRUE(Jv.checkpoint().ok());
+  const ByteVector File = slurp(CheckpointPath);
+
+  // The image encodes in place after whatever the buffer already holds.
+  ByteVector Image;
+  ASSERT_TRUE(encodeVolumeImage(Vol, *Pipeline, Image).ok());
+  ByteVector Framed = {1, 2, 3};
+  ASSERT_TRUE(encodeVolumeImage(Vol, *Pipeline, Framed).ok());
+  ASSERT_EQ(Framed.size(), 3 + Image.size());
+  EXPECT_TRUE(std::equal(Image.begin(), Image.end(), Framed.begin() + 3));
+
+  ASSERT_EQ(File.size(), CheckpointPrefixSize + Image.size() + 4);
+  EXPECT_EQ(loadLe64(File.data()), CheckpointMagic);
+  EXPECT_EQ(loadLe32(File.data() + 8), CheckpointVersion);
+  EXPECT_EQ(loadLe64(File.data() + 12), Jv.committedSeq());
+  EXPECT_EQ(loadLe64(File.data() + 20), Image.size());
+  EXPECT_TRUE(std::equal(Image.begin(), Image.end(),
+                         File.begin() + CheckpointPrefixSize));
+  EXPECT_EQ(loadLe32(File.data() + File.size() - 4),
+            crc32c(ByteSpan(File.data(), File.size() - 4)));
 }
 
 TEST_F(JournalFixture, GarbageJournalFileIsRejectedTyped) {
