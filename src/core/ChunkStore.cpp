@@ -7,8 +7,6 @@
 
 #include "core/ChunkStore.h"
 
-#include "compress/ChunkCodec.h"
-
 #include <cassert>
 
 using namespace padre;
@@ -33,20 +31,6 @@ ChunkStore::encodedBlock(std::uint64_t Location) const {
   if (It == Blocks.end())
     return std::nullopt;
   return ByteSpan(It->second.data(), It->second.size());
-}
-
-std::optional<ByteVector>
-ChunkStore::readChunk(std::uint64_t Location) const {
-  const auto Encoded = encodedBlock(Location);
-  if (!Encoded)
-    return std::nullopt;
-  const auto View = decodeBlock(*Encoded);
-  if (!View)
-    return std::nullopt;
-  ByteVector Out;
-  if (!decodeChunkPayload(*View, Out))
-    return std::nullopt;
-  return Out;
 }
 
 std::uint64_t ChunkStore::erase(std::uint64_t Location) {

@@ -54,12 +54,6 @@ public:
   /// The encoded block at \p Location; nullopt if absent.
   std::optional<ByteSpan> encodedBlock(std::uint64_t Location) const;
 
-  /// Decodes and decompresses the chunk at \p Location, charging
-  /// nothing. Returns nullopt if absent or corrupt. Only verify-on-dedup
-  /// uses it (its read is priced inside the write's dedup stage); every
-  /// other read goes through the restore engine (src/restore).
-  std::optional<ByteVector> readChunk(std::uint64_t Location) const;
-
   /// Removes the chunk at \p Location (garbage collection). Returns
   /// the encoded bytes freed (0 if absent).
   std::uint64_t erase(std::uint64_t Location);

@@ -11,6 +11,7 @@
 #include "compress/Block.h"
 #include "restore/ReadPipeline.h"
 
+#include <algorithm>
 #include <cassert>
 
 using namespace padre;
@@ -272,51 +273,52 @@ ReductionPipeline::processBatch(std::span<const ChunkView> Chunks,
   // Verify-on-dedup: byte-compare every digest match before sharing
   // the chunk; a mismatch (collision or latent corruption) is demoted
   // to unique. A duplicate of a chunk from *this* batch compares
-  // against the in-flight source (it has not been destaged yet, so
-  // only a memcmp is charged); older chunks are read back from the
-  // store.
+  // against the in-flight source (it has not been destaged yet). Older
+  // chunks are read back in one cache-bypassing engine read, before
+  // the verify span opens: the engine traces and charges its own
+  // fetch and decode, and a failed read delivers an empty chunk, which
+  // never matches.
   if (Config.VerifyDuplicates) {
-    const obs::StageSpan Stage(Config.Trace, Ledger, "verify");
     const std::uint64_t BatchBase = NextLocation - Count;
+    std::span<std::uint64_t> OlderLocations =
+        BatchArena.allocateSpan<std::uint64_t>(Count);
+    std::size_t OlderCount = 0;
+    for (std::size_t I = 0; I < Count; ++I)
+      if (Items[I].Outcome != LookupOutcome::Unique &&
+          Items[I].Location < BatchBase)
+        OlderLocations[OlderCount++] = Items[I].Location;
+    std::vector<ByteVector> Stored;
+    if (OlderCount != 0)
+      reader().readLocations(OlderLocations.first(OlderCount), Stored,
+                             nullptr, /*BypassCache=*/true);
+
+    const obs::StageSpan Stage(Config.Trace, Ledger, "verify");
+    double CompareUs = 0.0;
+    std::size_t NextStored = 0;
     for (std::size_t I = 0; I < Count; ++I) {
       if (Items[I].Outcome == LookupOutcome::Unique)
         continue;
-      bool Matches;
+      const ByteSpan Data = Chunks[I].Data;
+      ByteSpan Source;
       if (Items[I].Location >= BatchBase) {
-        const std::size_t Source =
+        const std::size_t InBatch =
             static_cast<std::size_t>(Items[I].Location - BatchBase);
-        assert(Source < I && "Duplicate precedes its source");
-        Ledger.chargeMicros(Resource::CpuPool,
-                            Plat.Model.Cpu.VerifyPerByteNs * 1e-3 *
-                                static_cast<double>(Chunks[I].Data.size()));
-        Matches = Chunks[Source].Data.size() == Chunks[I].Data.size() &&
-                  std::equal(Chunks[Source].Data.begin(),
-                             Chunks[Source].Data.end(),
-                             Chunks[I].Data.begin());
+        assert(InBatch < I && "Duplicate precedes its source");
+        Source = Chunks[InBatch].Data;
       } else {
-        Ssd.readRandom4K(1);
-        // Decompression is only charged when the stored block actually
-        // is compressed — a raw-stored block (incompressible data, or
-        // compression disabled) costs just the byte compare.
-        double PerByteNs = Plat.Model.Cpu.VerifyPerByteNs;
-        if (const auto Encoded = Store.encodedBlock(Items[I].Location);
-            Encoded && Encoded->size() > 2 &&
-            static_cast<BlockMethod>((*Encoded)[2]) != BlockMethod::Raw)
-          PerByteNs += Plat.Model.Cpu.DecompressPerByteNs;
-        Ledger.chargeMicros(Resource::CpuPool,
-                            PerByteNs * 1e-3 *
-                                static_cast<double>(Chunks[I].Data.size()));
-        const auto Stored = Store.readChunk(Items[I].Location);
-        Matches = Stored && Stored->size() == Chunks[I].Data.size() &&
-                  std::equal(Stored->begin(), Stored->end(),
-                             Chunks[I].Data.begin());
+        const ByteVector &Copy = Stored[NextStored++];
+        Source = ByteSpan(Copy.data(), Copy.size());
       }
-      if (Matches)
+      CompareUs += Plat.Model.Cpu.VerifyPerByteNs * 1e-3 *
+                   static_cast<double>(Data.size());
+      if (Source.size() == Data.size() &&
+          std::equal(Source.begin(), Source.end(), Data.begin()))
         continue;
       ++VerifyMismatches;
       Items[I].Outcome = LookupOutcome::Unique;
       Items[I].Location = NewLocations[I];
     }
+    Ledger.chargeMicros(Resource::CpuPool, CompareUs);
   }
 
   Sched->endStage(BatchScheduler::Stage::Dedup);
@@ -508,76 +510,96 @@ std::optional<ByteVector> ReductionPipeline::readBack() {
 
 std::optional<ByteVector>
 ReductionPipeline::readChunk(std::uint64_t Location, bool BypassCache) {
-  auto Result = readChunkEx(Location, BypassCache);
-  if (!Result.ok())
-    return std::nullopt;
-  return std::move(Result.value());
-}
-
-fault::Expected<ByteVector>
-ReductionPipeline::readChunkEx(std::uint64_t Location, bool BypassCache) {
   std::vector<ByteVector> Out;
-  std::vector<restore::ReadFailure> Failures;
   if (!reader().readLocations(std::span<const std::uint64_t>(&Location, 1),
-                              Out, &Failures, BypassCache))
-    return fault::Status::error(Failures.front().Code, Location);
+                              Out, nullptr, BypassCache))
+    return std::nullopt;
   return std::move(Out.front());
 }
 
-ScrubOutcome ReductionPipeline::scrubChunk(std::uint64_t Location,
-                                           const Fingerprint &Fp) {
-  // Snapshot any cached decoded copy *before* the flash read: a
-  // corrupt flash read invalidates cached copies, and the snapshot is
-  // the only repair source this pipeline has.
-  std::optional<ByteVector> Candidate;
-  if (Cache)
-    Candidate = Cache->get(Location);
+std::vector<ScrubOutcome>
+ReductionPipeline::scrub(std::span<const ChunkRecord> Records, bool Repair) {
+  // Location order, so each engine batch coalesces adjacent chunks into
+  // sequential flash reads.
+  std::vector<std::size_t> Order(Records.size());
+  for (std::size_t I = 0; I < Order.size(); ++I)
+    Order[I] = I;
+  std::sort(Order.begin(), Order.end(), [&](std::size_t A, std::size_t B) {
+    return Records[A].Location < Records[B].Location;
+  });
 
-  auto Read = readChunkEx(Location, /*BypassCache=*/true);
-  if (Read.ok()) {
-    Ledger.chargeMicros(Resource::CpuPool,
-                        Plat.Model.cpuHashUs(Read->size()));
-    if (Fingerprint::ofData(ByteSpan(Read->data(), Read->size())) == Fp)
-      return ScrubOutcome::Healthy;
-    // A block that decodes but hashes wrong is corruption the CRC
-    // missed (or a collision-shared chunk); fall through to repair.
-    if (Cache)
-      Cache->invalidate(Location);
-  }
+  std::vector<ScrubOutcome> Outcomes(Records.size(), ScrubOutcome::Healthy);
+  ChunkCache *RepairCache = Repair ? Cache.get() : nullptr;
+  const std::size_t SliceChunks = reader().config().BatchDepth;
+  std::vector<std::uint64_t> Locations;
+  std::vector<std::optional<ByteVector>> Copies;
+  std::vector<ByteVector> Chunks;
+  for (std::size_t Begin = 0; Begin < Order.size(); Begin += SliceChunks) {
+    const std::size_t End = std::min(Order.size(), Begin + SliceChunks);
+    Locations.clear();
+    for (std::size_t I = Begin; I < End; ++I)
+      Locations.push_back(Records[Order[I]].Location);
+    // Take the cached copies *before* the flash read: a corrupt read
+    // invalidates them, and they are the only repair source there is.
+    Copies.clear();
+    if (RepairCache)
+      for (const std::uint64_t Location : Locations)
+        Copies.push_back(RepairCache->get(Location));
+    Chunks.clear();
+    reader().readLocations(Locations, Chunks, nullptr, /*BypassCache=*/true);
 
-  // Verify the candidate against the tracker's fingerprint before
-  // trusting it — an unverified copy could launder corruption back in.
-  if (Candidate) {
-    Ledger.chargeMicros(Resource::CpuPool,
-                        Plat.Model.cpuHashUs(Candidate->size()));
-    if (Fingerprint::ofData(
-            ByteSpan(Candidate->data(), Candidate->size())) == Fp) {
-      // Re-encode conservatively as a raw block and rewrite in place.
-      // The rewrite is an in-place page update, not part of a destage
-      // stream, so it is charged as a random write.
-      Ledger.chargeMicros(Resource::CpuPool,
-                          Plat.Model.Cpu.CacheCopyPerByteNs * 1e-3 *
-                              static_cast<double>(Candidate->size()));
-      if (Ssd.rewriteChunk(Location,
-                           BlockHeaderSize + Candidate->size())
-              .ok()) {
-        ByteVector Block = encodeBlock(
-            BlockMethod::Raw,
-            static_cast<std::uint32_t>(Candidate->size()),
-            ByteSpan(Candidate->data(), Candidate->size()));
-        Store.erase(Location);
-        Store.put(Location, std::move(Block));
-        if (Cache)
-          Cache->put(Location, *Candidate);
-        if (ScrubRepairedTotal)
-          ScrubRepairedTotal->add(1);
-        return ScrubOutcome::Repaired;
+    const obs::StageSpan Stage(Config.Trace, Ledger, "scrub");
+    double HashUs = 0.0;
+    for (std::size_t I = 0; I < Locations.size(); ++I) {
+      const ChunkRecord &Record = Records[Order[Begin + I]];
+      const ByteVector &Chunk = Chunks[I];
+      // A failed read delivers an empty chunk. A decoded one is
+      // re-fingerprinted: the block CRC catches payload corruption;
+      // this catches a block swapped for another valid one (misdirected
+      // write).
+      if (!Chunk.empty()) {
+        HashUs += Plat.Model.cpuHashUs(Chunk.size());
+        if (Fingerprint::ofData(Chunk) == Record.Fp)
+          continue;
+        if (RepairCache)
+          RepairCache->invalidate(Record.Location);
       }
+      ScrubOutcome &Outcome = Outcomes[Order[Begin + I]];
+      Outcome = ScrubOutcome::Lost;
+      if (!Repair)
+        continue;
+      // Verify the cached copy against the record's fingerprint before
+      // trusting it — an unverified copy could launder corruption back
+      // in. Re-encode it conservatively as a raw block and rewrite in
+      // place: an in-place page update, not part of a destage stream,
+      // so it is charged as a random write.
+      if (RepairCache && Copies[I]) {
+        ByteVector &Copy = *Copies[I];
+        HashUs += Plat.Model.cpuHashUs(Copy.size());
+        if (Fingerprint::ofData(Copy) == Record.Fp) {
+          Ledger.chargeMicros(Resource::CpuPool,
+                              Plat.Model.Cpu.CacheCopyPerByteNs * 1e-3 *
+                                  static_cast<double>(Copy.size()));
+          if (Ssd.rewriteChunk(Record.Location, BlockHeaderSize + Copy.size())
+                  .ok()) {
+            Store.erase(Record.Location);
+            Store.put(Record.Location,
+                      encodeBlock(BlockMethod::Raw,
+                                  static_cast<std::uint32_t>(Copy.size()),
+                                  ByteSpan(Copy.data(), Copy.size())));
+            RepairCache->put(Record.Location, std::move(Copy));
+            Outcome = ScrubOutcome::Repaired;
+          }
+        }
+      }
+      if (obs::Counter *Verdict = Outcome == ScrubOutcome::Repaired
+                                      ? ScrubRepairedTotal
+                                      : ScrubLostTotal)
+        Verdict->add(1);
     }
+    Ledger.chargeMicros(Resource::CpuPool, HashUs);
   }
-  if (ScrubLostTotal)
-    ScrubLostTotal->add(1);
-  return ScrubOutcome::Lost;
+  return Outcomes;
 }
 
 bool ReductionPipeline::dropIndexEntry(const Fingerprint &Fp) {

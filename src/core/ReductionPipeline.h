@@ -81,11 +81,13 @@ struct PipelineConfig {
   /// compression-only).
   bool DedupEnabled = true;
   bool CompressEnabled = true;
-  /// Verify-on-dedup (extension): on every digest match, read the
-  /// stored chunk back and byte-compare before sharing it — the
+  /// Verify-on-dedup (extension): on every digest match, byte-compare
+  /// the chunk against its stored copy before sharing it — the
   /// production guard against hash collisions and latent corruption.
-  /// A mismatching duplicate is stored as a fresh unique chunk. Costs
-  /// one SSD read + a memcmp per duplicate.
+  /// A mismatching (or unreadable) duplicate is stored as a fresh
+  /// unique chunk. Each batch reads its older duplicates' copies with
+  /// one cache-bypassing restore-engine read; a duplicate of a chunk
+  /// in the same batch compares against the in-flight source.
   bool VerifyDuplicates = false;
   /// Decompressed-chunk LRU capacity on the read path (extension).
   /// Default 0 = disabled: the paper's pipeline is write-only, so the
@@ -137,7 +139,16 @@ struct ChunkWriteInfo {
   std::uint32_t Size = 0;
 };
 
-/// Per-chunk result of scrub-and-repair (see scrubChunk).
+/// A stored chunk and its reference count, keyed by the fingerprint
+/// its content must hash to (core/RefTracker.h keeps these; scrub()
+/// checks them).
+struct ChunkRecord {
+  std::uint64_t Location = 0;
+  std::uint32_t Refs = 0;
+  Fingerprint Fp;
+};
+
+/// Per-chunk result of a scrub (see ReductionPipeline::scrub).
 enum class ScrubOutcome { Healthy, Repaired, Lost };
 
 /// The inline reduction pipeline for one storage volume.
@@ -199,17 +210,10 @@ public:
 
   /// Reads one chunk by location through the restore engine: a DRAM
   /// copy on a cache hit, else an SSD read and a decode. \p BypassCache
-  /// forces the flash path — scrubbing must not certify cached copies.
-  /// Returns nullopt if absent, unreadable or corrupt.
+  /// forces the flash path. Returns nullopt if absent, unreadable or
+  /// corrupt.
   std::optional<ByteVector> readChunk(std::uint64_t Location,
                                       bool BypassCache = false);
-
-  /// Like readChunk but preserves the failure class: SsdReadError
-  /// (flash command gave up), ChunkMissing (no block at the location),
-  /// ChunkCorrupt (block failed its CRC/format check) or DecodeError
-  /// (payload failed to decode).
-  fault::Expected<ByteVector> readChunkEx(std::uint64_t Location,
-                                          bool BypassCache = false);
 
   /// The restore engine every chunk read goes through (default
   /// ReadConfig), built on first use — a write-only run never
@@ -217,13 +221,17 @@ public:
   /// this pipeline instead.
   restore::ReadPipeline &reader();
 
-  /// Verifies the chunk stored at \p Location against \p Fp (charging
-  /// the flash read + hash) and, when it is corrupt or unreadable,
-  /// attempts a repair from a fingerprint-verified cached copy: the
-  /// copy is re-encoded as a raw block and rewritten in place. Lost
-  /// means no trusted repair source existed (or the repair write
-  /// itself failed) — the caller keeps the typed loss.
-  ScrubOutcome scrubChunk(std::uint64_t Location, const Fingerprint &Fp);
+  /// Verifies each of \p Records' chunks against its fingerprint, in
+  /// location order and in slices of reader()'s batch depth: every
+  /// slice is one cache-bypassing engine read (which charges the
+  /// fetch and decode), and each decoded chunk is re-fingerprinted
+  /// under a "scrub" stage span. A chunk that fails to read or hashes
+  /// wrong is Lost — unless \p Repair is set and a copy the cache held
+  /// before the slice's read hashes right: that copy is rewritten in
+  /// place as a raw block (Repaired). Returns one outcome per record,
+  /// in \p Records order.
+  std::vector<ScrubOutcome> scrub(std::span<const ChunkRecord> Records,
+                                  bool Repair);
 
   /// Read-cache statistics (null when disabled). The non-const form is
   /// for the restore engine (src/restore), which uses the cache as its

@@ -24,12 +24,8 @@ namespace padre {
 /// Reference table for the chunks of one dedup domain.
 class ChunkRefTracker {
 public:
-  /// A persisted chunk reference (persistence support).
-  struct Record {
-    std::uint64_t Location = 0;
-    std::uint32_t Refs = 0;
-    Fingerprint Fp;
-  };
+  /// A persisted chunk reference (persistence and scrub support).
+  using Record = ChunkRecord;
 
   /// Takes one reference on \p Info's chunk. Tracks revivals: a dedup
   /// hit that lands on a chunk whose refcount had dropped to zero.

@@ -202,39 +202,26 @@ std::vector<Volume::SnapshotId> Volume::snapshotIds() const {
 
 Volume::ScrubReport Volume::scrub() {
   ScrubReport Report;
-  // Location order, so each engine batch coalesces adjacent chunks into
-  // sequential flash reads.
-  std::vector<ChunkRecord> Records = Tracker->records();
-  std::sort(Records.begin(), Records.end(),
-            [](const ChunkRecord &A, const ChunkRecord &B) {
-              return A.Location < B.Location;
-            });
-  std::vector<std::uint64_t> Locations;
-  Locations.reserve(Records.size());
-  for (const ChunkRecord &Record : Records)
-    Locations.push_back(Record.Location);
-  Pipeline.reader().visitLocations(
-      Locations,
-      [&](std::size_t I, const ByteVector &Chunk) {
-        ++Report.ChunksScanned;
-        // A failed read delivers an empty chunk. A decoded one is
-        // re-fingerprinted: the block CRC catches payload corruption;
-        // this catches a block swapped for another valid one
-        // (misdirected write).
-        if (!Chunk.empty() && Fingerprint::ofData(Chunk) == Records[I].Fp)
-          return;
-        ++Report.CorruptChunks;
-        Report.BadLocations.push_back(Records[I].Location);
-      },
-      /*BypassCache=*/true);
+  const std::vector<ChunkRecord> Records = Tracker->records();
+  const std::vector<ScrubOutcome> Outcomes =
+      Pipeline.scrub(Records, /*Repair=*/false);
+  Report.ChunksScanned = Records.size();
+  for (std::size_t I = 0; I < Records.size(); ++I)
+    if (Outcomes[I] != ScrubOutcome::Healthy)
+      Report.BadLocations.push_back(Records[I].Location);
+  Report.CorruptChunks = Report.BadLocations.size();
+  std::sort(Report.BadLocations.begin(), Report.BadLocations.end());
   return Report;
 }
 
 Volume::ScrubRepairReport Volume::scrubAndRepair() {
   ScrubRepairReport Report;
-  for (const ChunkRecord &Record : Tracker->records()) {
-    ++Report.ChunksScanned;
-    switch (Pipeline.scrubChunk(Record.Location, Record.Fp)) {
+  const std::vector<ChunkRecord> Records = Tracker->records();
+  const std::vector<ScrubOutcome> Outcomes =
+      Pipeline.scrub(Records, /*Repair=*/true);
+  Report.ChunksScanned = Records.size();
+  for (std::size_t I = 0; I < Records.size(); ++I) {
+    switch (Outcomes[I]) {
     case ScrubOutcome::Healthy:
       break;
     case ScrubOutcome::Repaired:
@@ -244,7 +231,7 @@ Volume::ScrubRepairReport Volume::scrubAndRepair() {
     case ScrubOutcome::Lost:
       ++Report.CorruptChunks;
       ++Report.LostChunks;
-      Report.LostLocations.push_back(Record.Location);
+      Report.LostLocations.push_back(Records[I].Location);
       break;
     }
   }

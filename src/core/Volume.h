@@ -149,7 +149,8 @@ public:
   };
 
   /// Reads every tracked chunk back as batched cache-bypassing reads,
-  /// decodes it, and re-fingerprints the content. A dedup store must
+  /// decodes it, and re-fingerprints the content
+  /// (ReductionPipeline::scrub without repair). A dedup store must
   /// scrub: one corrupt shared chunk silently damages every logical
   /// block that references it. Covers the whole reference domain.
   ScrubReport scrub();
@@ -166,7 +167,7 @@ public:
 
   /// scrub() plus repair: each corrupt/unreadable chunk is rewritten
   /// from a fingerprint-verified cached copy when one exists (see
-  /// ReductionPipeline::scrubChunk). Chunks with no trusted repair
+  /// ReductionPipeline::scrub). Chunks with no trusted repair
   /// source are reported as lost — their data is gone until the caller
   /// restores from a replica or an image.
   ScrubRepairReport scrubAndRepair();

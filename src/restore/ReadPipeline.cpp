@@ -225,6 +225,7 @@ bool ReadPipeline::processBatch(std::span<const std::uint64_t> Locations,
         Items.push_back(std::move(Item));
       }
       Source[I] = It->second;
+      Items[It->second].LastRequest = I;
     }
 
     // Resolve encoded blocks; a location absent from the store is a
@@ -390,13 +391,18 @@ bool ReadPipeline::processBatch(std::span<const std::uint64_t> Locations,
 
   // Deliver and account. No ledger charges below — the stage spans
   // above already tile every lane. Failed requests deliver an empty
-  // buffer (their slot stays default-constructed).
+  // buffer (their slot stays default-constructed); the cache already
+  // holds its own copy, so a chunk's last requester takes it by move.
   for (std::size_t I = 0; I < Locations.size(); ++I) {
     if (Source[I] != CacheHit) {
-      const BatchItem &Item = Items[Source[I]];
+      BatchItem &Item = Items[Source[I]];
       LatencyUs[I] = Item.FetchShareUs + Item.DecodeUs;
-      if (!Item.Failed)
-        Out[Base + I] = Item.Decoded;
+      if (!Item.Failed) {
+        if (I == Item.LastRequest)
+          Out[Base + I] = std::move(Item.Decoded);
+        else
+          Out[Base + I] = Item.Decoded;
+      }
     }
     BytesOut += Out[Base + I].size();
     LatencyHist.add(LatencyUs[I]);

@@ -157,6 +157,9 @@ private:
     /// Warp-GPU path only (arena-backed table).
     std::optional<GpuWarpPlan> WarpPlan;
     ByteVector Decoded;
+    /// Index of the last request for this chunk: it takes Decoded by
+    /// move, earlier requests copy it.
+    std::size_t LastRequest = 0;
     double FetchShareUs = 0.0; ///< this chunk's share of SSD latency
     double DecodeUs = 0.0;     ///< decode stage latency contribution
     bool Readahead = false;    ///< cache-fill only, no requester

@@ -5,9 +5,9 @@
 /// hardware resources of the paper's platform (CPU pool, GPU, PCIe link,
 /// SSD).
 ///
-/// The host running this reproduction has a single core and no GPU, so
-/// wall-clock time cannot express the paper's parallel hardware. Instead
-/// every operation executes *functionally* on host threads and *charges*
+/// Host wall-clock time cannot express the paper's parallel hardware:
+/// the host has its own core count, and the modelled GPU's kernels run
+/// functionally on host threads. Instead every operation executes *functionally* on host threads and *charges*
 /// modelled busy time to this ledger using the calibrated constants in
 /// sim/CostModel.h. Steady-state pipeline throughput is then
 ///

@@ -9,51 +9,9 @@
 
 #include <algorithm>
 #include <cassert>
-#include <cmath>
 #include <cstdio>
 
 using namespace padre;
-
-void RunningStats::add(double Value) {
-  ++Count;
-  if (Count == 1) {
-    Mean = Min = Max = Value;
-    M2 = 0.0;
-    return;
-  }
-  const double Delta = Value - Mean;
-  Mean += Delta / static_cast<double>(Count);
-  M2 += Delta * (Value - Mean);
-  Min = std::min(Min, Value);
-  Max = std::max(Max, Value);
-}
-
-void RunningStats::merge(const RunningStats &Other) {
-  if (Other.Count == 0)
-    return;
-  if (Count == 0) {
-    *this = Other;
-    return;
-  }
-  const double Delta = Other.Mean - Mean;
-  const std::uint64_t NewCount = Count + Other.Count;
-  M2 += Other.M2 + Delta * Delta * static_cast<double>(Count) *
-                       static_cast<double>(Other.Count) /
-                       static_cast<double>(NewCount);
-  Mean += Delta * static_cast<double>(Other.Count) /
-          static_cast<double>(NewCount);
-  Min = std::min(Min, Other.Min);
-  Max = std::max(Max, Other.Max);
-  Count = NewCount;
-}
-
-double RunningStats::variance() const {
-  if (Count < 2)
-    return 0.0;
-  return M2 / static_cast<double>(Count - 1);
-}
-
-double RunningStats::stddev() const { return std::sqrt(variance()); }
 
 Histogram::Histogram(double UpperBound, std::size_t BucketCount)
     : UpperBound(UpperBound),

@@ -2,8 +2,7 @@
 ///
 /// \file
 /// Lightweight statistics helpers used by the engines and benchmark
-/// harnesses: running mean/min/max/stddev and a fixed-resolution
-/// histogram with percentile queries.
+/// harnesses: a fixed-resolution histogram with percentile queries.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -16,33 +15,6 @@
 #include <vector>
 
 namespace padre {
-
-/// Single-pass mean/variance/min/max accumulator (Welford's algorithm).
-class RunningStats {
-public:
-  /// Adds one observation.
-  void add(double Value);
-
-  /// Merges another accumulator into this one.
-  void merge(const RunningStats &Other);
-
-  std::uint64_t count() const { return Count; }
-  double mean() const { return Count == 0 ? 0.0 : Mean; }
-  double min() const { return Count == 0 ? 0.0 : Min; }
-  double max() const { return Count == 0 ? 0.0 : Max; }
-  double sum() const { return Mean * static_cast<double>(Count); }
-
-  /// Sample variance (n-1 denominator); zero for fewer than two samples.
-  double variance() const;
-  double stddev() const;
-
-private:
-  std::uint64_t Count = 0;
-  double Mean = 0.0;
-  double M2 = 0.0;
-  double Min = 0.0;
-  double Max = 0.0;
-};
 
 /// A histogram over [0, UpperBound) with uniformly sized buckets plus an
 /// overflow bucket; supports percentile estimation by linear

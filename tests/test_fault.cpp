@@ -44,6 +44,27 @@ fault::FaultRule rule(fault::FaultSite Site, fault::FaultKind Kind) {
   return Rule;
 }
 
+/// Reads one chunk through the pipeline's restore engine, keeping the
+/// failure class.
+fault::Expected<ByteVector> readTyped(ReductionPipeline &Pipeline,
+                                      std::uint64_t Location) {
+  std::vector<ByteVector> Out;
+  std::vector<restore::ReadFailure> Failures;
+  if (!Pipeline.reader().readLocations(
+          std::span<const std::uint64_t>(&Location, 1), Out, &Failures))
+    return fault::Status::error(Failures.front().Code, Location);
+  return std::move(Out.front());
+}
+
+/// Scrubs one chunk (with repair) and returns its outcome.
+ScrubOutcome scrubOne(ReductionPipeline &Pipeline, std::uint64_t Location,
+                      const Fingerprint &Fp) {
+  const ChunkRecord Record{Location, 1, Fp};
+  return Pipeline.scrub(std::span<const ChunkRecord>(&Record, 1),
+                        /*Repair=*/true)
+      .front();
+}
+
 /// Every resource lane's busy time, for bit-identity comparisons.
 std::array<double, ResourceCount> busyTimes(ReductionPipeline &Pipeline) {
   std::array<double, ResourceCount> Busy{};
@@ -275,7 +296,7 @@ TEST(FaultPipelineTest, TransientSsdReadErrorRetriesAndRecovers) {
   EXPECT_TRUE(Pipeline.finish().ok());
 
   const std::uint64_t Loc = Pipeline.recipe().ChunkLocations.front();
-  const auto Read = Pipeline.readChunkEx(Loc);
+  const auto Read = readTyped(Pipeline, Loc);
   ASSERT_TRUE(Read.ok()) << Read.status().message();
   EXPECT_EQ(Injector.injected(fault::FaultKind::LatentSectorError), 1u);
   EXPECT_EQ(Pipeline.ssd().retryCount(), 1u);
@@ -299,7 +320,7 @@ TEST(FaultPipelineTest, PersistentSsdReadErrorSurfacesTypedError) {
   ASSERT_TRUE(Pipeline.finish().ok());
 
   const auto Read =
-      Pipeline.readChunkEx(Pipeline.recipe().ChunkLocations.front());
+      readTyped(Pipeline, Pipeline.recipe().ChunkLocations.front());
   ASSERT_FALSE(Read.ok());
   EXPECT_EQ(Read.status().code(), fault::ErrorCode::SsdReadError);
   EXPECT_STREQ(Read.status().message(), "ssd-read-error");
@@ -328,6 +349,37 @@ TEST(FaultPipelineTest, ReadBackFailsOnExhaustedSsdRead) {
   EXPECT_FALSE(Pipeline.readBack().has_value());
   EXPECT_FALSE(Pipeline.verifyAgainst(ByteSpan(Data.data(), Data.size())));
   EXPECT_GT(Pipeline.ssd().retryCount(), 0u);
+}
+
+TEST(FaultPipelineTest, VerifyReadFailureStoresTheDuplicateFresh) {
+  const ByteVector Block = makeStream(4096, 1.0);
+  fault::FaultPlan Plan;
+  Plan.Policy.MaxRetries = 2;
+  auto Rule = rule(fault::FaultSite::SsdRead,
+                   fault::FaultKind::LatentSectorError);
+  Rule.Probability = 1.0;
+  Plan.Rules.push_back(Rule);
+  fault::FaultInjector Injector(Plan);
+
+  PipelineConfig Config = pipelineConfig(PipelineMode::CpuOnly);
+  Config.VerifyDuplicates = true;
+  Config.Faults = &Injector;
+  ReductionPipeline Pipeline(Platform::paper(), Config);
+  std::vector<ChunkWriteInfo> First, Second;
+  ASSERT_TRUE(
+      Pipeline.write(ByteSpan(Block.data(), Block.size()), &First).ok());
+  ASSERT_TRUE(
+      Pipeline.write(ByteSpan(Block.data(), Block.size()), &Second).ok());
+  ASSERT_EQ(First.size(), 1u);
+  ASSERT_EQ(Second.size(), 1u);
+
+  // The compare read of the stored copy gave up after its retries: an
+  // unverifiable duplicate must not be shared.
+  EXPECT_EQ(Pipeline.ssd().retryCount(), 2u);
+  EXPECT_EQ(Second[0].Outcome, LookupOutcome::Unique);
+  EXPECT_NE(Second[0].Location, First[0].Location);
+  EXPECT_EQ(Pipeline.report().VerifyMismatches, 1u);
+  EXPECT_EQ(Pipeline.report().UniqueChunks, 2u);
 }
 
 TEST(FaultPipelineTest, PersistentSsdWriteErrorFailsWriteButKeepsData) {
@@ -605,12 +657,12 @@ TEST(FaultScrubTest, DestageBitFlipIsDetectedAndTyped) {
   // others read back clean.
   std::uint64_t Corrupt = 0;
   for (const ChunkWriteInfo &Chunk : Info) {
-    const auto Read = Pipeline.readChunkEx(Chunk.Location);
+    const auto Read = readTyped(Pipeline, Chunk.Location);
     if (!Read.ok()) {
       EXPECT_EQ(Read.status().code(), fault::ErrorCode::ChunkCorrupt);
       ++Corrupt;
       // No cached copy ever existed: the damage is unrepairable.
-      EXPECT_EQ(Pipeline.scrubChunk(Chunk.Location, Chunk.Fp),
+      EXPECT_EQ(scrubOne(Pipeline, Chunk.Location, Chunk.Fp),
                 ScrubOutcome::Lost);
     }
   }
@@ -634,7 +686,7 @@ TEST(FaultScrubTest, ScrubRepairsFromFingerprintVerifiedCachedCopy) {
   ASSERT_TRUE(Original.has_value());
   ASSERT_TRUE(Pipeline.corruptChunkForTesting(Loc, 20));
 
-  EXPECT_EQ(Pipeline.scrubChunk(Loc, Info.front().Fp),
+  EXPECT_EQ(scrubOne(Pipeline, Loc, Info.front().Fp),
             ScrubOutcome::Repaired);
   const obs::Counter *Repaired = Metrics.findCounter(
       "padre_scrub_repair_total{outcome=\"repaired\"}");
@@ -645,7 +697,7 @@ TEST(FaultScrubTest, ScrubRepairsFromFingerprintVerifiedCachedCopy) {
   const auto After = Pipeline.readChunk(Loc, /*BypassCache=*/true);
   ASSERT_TRUE(After.has_value());
   EXPECT_EQ(*After, *Original);
-  EXPECT_EQ(Pipeline.scrubChunk(Loc, Info.front().Fp),
+  EXPECT_EQ(scrubOne(Pipeline, Loc, Info.front().Fp),
             ScrubOutcome::Healthy);
 }
 

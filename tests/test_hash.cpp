@@ -9,7 +9,6 @@
 
 #include "hash/Crc32.h"
 #include "hash/Fingerprint.h"
-#include "hash/Fnv.h"
 #include "hash/Sha1.h"
 #include "util/Random.h"
 
@@ -115,21 +114,6 @@ TEST(Crc32c, DetectsBitFlip) {
   const std::uint32_t Before = crc32c(ByteSpan(Data.data(), Data.size()));
   Data[50] ^= 0x01;
   EXPECT_NE(crc32c(ByteSpan(Data.data(), Data.size())), Before);
-}
-
-//===----------------------------------------------------------------------===//
-// FNV-1a
-//===----------------------------------------------------------------------===//
-
-TEST(Fnv, KnownVectors) {
-  // Published FNV-1a 64 values.
-  EXPECT_EQ(fnv1a64(bytesOf("")), 0xCBF29CE484222325ull);
-  EXPECT_EQ(fnv1a64(bytesOf("a")), 0xAF63DC4C8601EC8Cull);
-  EXPECT_EQ(fnv1a64(bytesOf("foobar")), 0x85944171F73967E8ull);
-}
-
-TEST(Fnv, IntegerOverloadMixesAllBytes) {
-  EXPECT_NE(fnv1a64(std::uint64_t{1}), fnv1a64(std::uint64_t{1} << 56));
 }
 
 //===----------------------------------------------------------------------===//

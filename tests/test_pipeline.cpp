@@ -9,6 +9,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "core/ReductionPipeline.h"
+#include "restore/ReadPipeline.h"
 #include "workload/VdbenchStream.h"
 
 #include <gtest/gtest.h>
@@ -297,6 +298,29 @@ TEST(Pipeline, VerifyOnDedupKeepsResultsAndChargesReads) {
   // …but every duplicate paid a read-back.
   EXPECT_GT(B.report().SsdBusySec, A.report().SsdBusySec);
   EXPECT_GT(B.report().CpuBusySec, A.report().CpuBusySec);
+}
+
+TEST(Pipeline, VerifyOnDedupReadsThroughTheEngineBypassingTheCache) {
+  const ByteVector Data =
+      VdbenchStream(workload(1 << 20, 1.0, 2.0)).generateAll();
+  PipelineConfig Config = pipelineConfig(PipelineMode::CpuOnly);
+  Config.VerifyDuplicates = true;
+  Config.ReadCacheBytes = 32 << 20;
+  ReductionPipeline Pipeline(Platform::paper(), Config);
+  Pipeline.write(ByteSpan(Data.data(), Data.size()));
+  const std::uint64_t Before = Pipeline.reader().report().ChunksRequested;
+
+  // Rewriting the stream makes every chunk a duplicate of an older,
+  // already-destaged chunk: each one's compare read is an engine read.
+  std::vector<ChunkWriteInfo> Second;
+  Pipeline.write(ByteSpan(Data.data(), Data.size()), &Second);
+  for (const ChunkWriteInfo &Info : Second)
+    ASSERT_NE(Info.Outcome, LookupOutcome::Unique);
+  EXPECT_EQ(Pipeline.report().VerifyMismatches, 0u);
+  EXPECT_EQ(Pipeline.reader().report().ChunksRequested - Before,
+            Second.size());
+  // The compare reads bypass the cache: none of them fills it.
+  EXPECT_EQ(Pipeline.readCache()->entryCount(), 0u);
 }
 
 TEST(Pipeline, VerifyOnDedupCatchesLatentCorruption) {

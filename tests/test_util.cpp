@@ -10,7 +10,6 @@
 #include "util/Bytes.h"
 #include "util/Random.h"
 #include "util/Stats.h"
-#include "util/StopWatch.h"
 #include "util/ThreadPool.h"
 
 #include <gtest/gtest.h>
@@ -155,53 +154,6 @@ TEST(Random, ReseedResetsStream) {
 }
 
 //===----------------------------------------------------------------------===//
-// RunningStats
-//===----------------------------------------------------------------------===//
-
-TEST(RunningStats, BasicMoments) {
-  RunningStats Stats;
-  for (double Value : {2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0})
-    Stats.add(Value);
-  EXPECT_EQ(Stats.count(), 8u);
-  EXPECT_DOUBLE_EQ(Stats.mean(), 5.0);
-  EXPECT_DOUBLE_EQ(Stats.min(), 2.0);
-  EXPECT_DOUBLE_EQ(Stats.max(), 9.0);
-  EXPECT_NEAR(Stats.variance(), 32.0 / 7.0, 1e-12);
-}
-
-TEST(RunningStats, EmptyIsZero) {
-  RunningStats Stats;
-  EXPECT_EQ(Stats.count(), 0u);
-  EXPECT_EQ(Stats.mean(), 0.0);
-  EXPECT_EQ(Stats.variance(), 0.0);
-}
-
-TEST(RunningStats, MergeMatchesSequential) {
-  RunningStats All, A, B;
-  Random Rng(3);
-  for (int I = 0; I < 1000; ++I) {
-    const double Value = Rng.nextDouble() * 10.0;
-    All.add(Value);
-    (I % 2 == 0 ? A : B).add(Value);
-  }
-  A.merge(B);
-  EXPECT_EQ(A.count(), All.count());
-  EXPECT_NEAR(A.mean(), All.mean(), 1e-9);
-  EXPECT_NEAR(A.variance(), All.variance(), 1e-9);
-  EXPECT_DOUBLE_EQ(A.min(), All.min());
-  EXPECT_DOUBLE_EQ(A.max(), All.max());
-}
-
-TEST(RunningStats, MergeIntoEmpty) {
-  RunningStats A, B;
-  B.add(1.0);
-  B.add(3.0);
-  A.merge(B);
-  EXPECT_EQ(A.count(), 2u);
-  EXPECT_DOUBLE_EQ(A.mean(), 2.0);
-}
-
-//===----------------------------------------------------------------------===//
 // Histogram
 //===----------------------------------------------------------------------===//
 
@@ -270,15 +222,6 @@ TEST(Bytes, AppendBytes) {
   const std::uint8_t More[] = {3, 4, 5};
   appendBytes(Out, ByteSpan(More, 3));
   EXPECT_EQ(Out, (ByteVector{1, 2, 3, 4, 5}));
-}
-
-TEST(StopWatch, MeasuresForwardTime) {
-  StopWatch Watch;
-  const double First = Watch.seconds();
-  EXPECT_GE(First, 0.0);
-  EXPECT_GE(Watch.seconds(), First);
-  Watch.restart();
-  EXPECT_LT(Watch.seconds(), 1.0);
 }
 
 //===----------------------------------------------------------------------===//

@@ -415,6 +415,34 @@ TEST_F(VolumeFixture, ScrubDetectsMisdirectedBlock) {
   EXPECT_EQ(Report.CorruptChunks, 1u);
 }
 
+TEST_F(VolumeFixture, ScrubChargesTheFingerprintOfEveryChunk) {
+  for (std::uint64_t I = 0; I < 300; ++I) {
+    const ByteVector Data = blockOf(500 + I);
+    ASSERT_TRUE(Vol->writeBlocks(I, ByteSpan(Data.data(), Data.size())));
+  }
+  std::vector<std::uint64_t> Locations;
+  for (const Volume::ChunkRecord &Record : Vol->chunkRecords())
+    Locations.push_back(Record.Location);
+  std::sort(Locations.begin(), Locations.end());
+  const std::size_t N = Locations.size();
+  ASSERT_GT(N, Pipeline->reader().config().BatchDepth);
+
+  // The same reads scrub issues (location order, batch-depth slices,
+  // cache bypassed), so the difference is what scrub adds on top.
+  const ResourceLedger &Ledger = Pipeline->ledger();
+  const double Before = Ledger.busyMicros(Resource::CpuPool);
+  std::vector<ByteVector> Chunks;
+  ASSERT_TRUE(Pipeline->reader().readLocations(Locations, Chunks, nullptr,
+                                               /*BypassCache=*/true));
+  const double ReadUs = Ledger.busyMicros(Resource::CpuPool) - Before;
+  EXPECT_EQ(Vol->scrub().CorruptChunks, 0u);
+  const double ScrubUs =
+      Ledger.busyMicros(Resource::CpuPool) - Before - ReadUs;
+  const double HashUs =
+      static_cast<double>(N) * Platform::paper().Model.cpuHashUs(BlockSize);
+  EXPECT_GE(ScrubUs - ReadUs, HashUs - 1e-6);
+}
+
 //===----------------------------------------------------------------------===//
 // One read engine: Volume::readBlocks and restore::VolumeReader run the
 // same mapping walk through the same batched engine, so twin volumes
