@@ -2,7 +2,8 @@
 ///
 /// \file
 /// google-benchmark micro-kernels for the functional substrates: SHA-1
-/// fingerprinting, both LZ matchers, GPU lane compression + refinement,
+/// fingerprinting and CRC-32C (the dispatched path beside the scalar
+/// oracle), both LZ matchers, GPU lane compression + refinement,
 /// bin-index probes and the chunkers. These measure *host* wall time of
 /// the functional code (not modelled time) — useful for keeping the
 /// simulation itself fast and for profiling regressions.
@@ -14,6 +15,7 @@
 #include "chunk/RabinChunker.h"
 #include "compress/GpuLaneCompressor.h"
 #include "compress/LzCodec.h"
+#include "hash/Crc32.h"
 #include "hash/Sha1.h"
 #include "index/DedupIndex.h"
 #include "util/Random.h"
@@ -35,17 +37,47 @@ ByteVector makeData(std::size_t Size, double CompressRatio) {
   return Data;
 }
 
+/// Arg 0 is the message size; arg 1 picks the path: 0 the one this CPU
+/// dispatches to (the label names it), 1 the portable scalar oracle.
 void BM_Sha1(benchmark::State &State) {
   const ByteVector Data = makeData(static_cast<std::size_t>(State.range(0)),
                                    1.0);
+  const bool Scalar = State.range(1) != 0;
   for (auto _ : State) {
-    auto Digest = Sha1::digest(ByteSpan(Data.data(), Data.size()));
+    Sha1 Context = Scalar ? Sha1::scalar() : Sha1();
+    Context.update(ByteSpan(Data.data(), Data.size()));
+    auto Digest = Context.final();
     benchmark::DoNotOptimize(Digest);
   }
   State.SetBytesProcessed(static_cast<std::int64_t>(State.iterations()) *
                           Data.size());
+  State.SetLabel(Scalar ? "scalar" : Sha1::path());
 }
-BENCHMARK(BM_Sha1)->Arg(4096)->Arg(65536);
+BENCHMARK(BM_Sha1)
+    ->Args({4096, 0})
+    ->Args({4096, 1})
+    ->Args({65536, 0})
+    ->Args({65536, 1});
+
+/// Same arguments as BM_Sha1.
+void BM_Crc32c(benchmark::State &State) {
+  const ByteVector Data = makeData(static_cast<std::size_t>(State.range(0)),
+                                   1.0);
+  const ByteSpan Span(Data.data(), Data.size());
+  const bool Scalar = State.range(1) != 0;
+  for (auto _ : State) {
+    const std::uint32_t Crc = Scalar ? crc32cScalar(Span) : crc32c(Span);
+    benchmark::DoNotOptimize(Crc);
+  }
+  State.SetBytesProcessed(static_cast<std::int64_t>(State.iterations()) *
+                          Data.size());
+  State.SetLabel(Scalar ? "scalar" : crc32cPath());
+}
+BENCHMARK(BM_Crc32c)
+    ->Args({4096, 0})
+    ->Args({4096, 1})
+    ->Args({65536, 0})
+    ->Args({65536, 1});
 
 void BM_LzCompress(benchmark::State &State) {
   const auto Kind = State.range(0) == 0 ? LzCodec::MatcherKind::HashChain

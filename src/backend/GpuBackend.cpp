@@ -80,10 +80,17 @@ GpuBackend::GpuBackend(const CostModel &Model, ResourceLedger &Ledger,
     U.GpuLane = Ledger.addTimelineLane(Resource::Gpu);
     U.PcieLane = Ledger.addTimelineLane(Resource::Pcie);
   }
-  NameStr = Devices == 1 ? "gpu" : "gpu" + std::to_string(Devices);
-  SpanNameStr = "backend:" + NameStr;
-  Caps.Name = NameStr.c_str();
-  Caps.SpanName = SpanNameStr.c_str();
+  // Static storage: trace recorders keep span names by pointer and may
+  // outlive the backend.
+  static constexpr const char *Names[][2] = {
+      {"gpu", "backend:gpu"},   {"gpu2", "backend:gpu2"},
+      {"gpu3", "backend:gpu3"}, {"gpu4", "backend:gpu4"},
+      {"gpu5", "backend:gpu5"}, {"gpu6", "backend:gpu6"},
+      {"gpu7", "backend:gpu7"}, {"gpu8", "backend:gpu8"},
+      {"gpu>8", "backend:gpu>8"}};
+  constexpr unsigned NameCount = sizeof(Names) / sizeof(Names[0]);
+  Caps.Name = Names[std::min(Devices, NameCount) - 1][0];
+  Caps.SpanName = Names[std::min(Devices, NameCount) - 1][1];
   Caps.DeviceCount = Devices;
   if (Obs.Metrics) {
     RawFallbackCounter = &Obs.Metrics->counter(
@@ -166,13 +173,17 @@ void GpuBackend::compressSubBatch(Unit &U, std::span<const ChunkView> Chunks,
   // Run the lane kernels functionally first; their per-lane outcomes
   // determine the kernel's modelled execution time under the SIMT
   // lockstep rule: every chunk costs lanes x its slowest lane
-  // (§3.1(2) — branching lanes do not finish early).
+  // (§3.1(2) — branching lanes do not finish early). The kernel body
+  // runs chunk-parallel on the pool; the price is summed serially in
+  // chunk order, so the modelled time is the same at any pool width.
   std::size_t OutBytes = 0;
   double ExecMicros = 0.0;
   if (DeviceOk.ok()) {
+    Pool.parallelFor(Begin, End, [&](std::size_t I) {
+      DeviceResults[I - Begin] = LaneCompressor.runLanes(Chunks[I].Data);
+    });
     for (std::size_t I = Begin; I < End; ++I) {
-      LaneOutputs &Lanes = DeviceResults[I - Begin];
-      Lanes = LaneCompressor.runLanes(Chunks[I].Data);
+      const LaneOutputs &Lanes = DeviceResults[I - Begin];
       double SlowestLane = 0.0;
       for (const CompressResult &Lane : Lanes.LaneResults)
         SlowestLane = std::max(

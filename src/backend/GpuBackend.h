@@ -36,7 +36,6 @@
 
 #include <atomic>
 #include <memory>
-#include <string>
 
 namespace padre {
 
@@ -108,8 +107,6 @@ private:
   std::vector<Unit> Units;
   /// Per-sub-batch device results, reused across calls.
   std::vector<LaneOutputs> DeviceResults;
-  std::string NameStr;
-  std::string SpanNameStr;
   BackendCaps Caps;
   std::atomic<std::uint64_t> RawFallbacks{0};
   std::uint64_t DeviceFallbacks = 0;

@@ -41,11 +41,10 @@ namespace backend {
 
 /// Static backend capabilities.
 struct BackendCaps {
-  /// Short stable name ("cpu", "gpu", "gpu2", ...). Points at storage
-  /// owned by the backend; valid for its lifetime.
+  /// Short stable name ("cpu", "gpu", "gpu2", ...). Static storage.
   const char *Name = "cpu";
-  /// Span label ("backend:cpu", ...) — a stable string for the trace
-  /// recorder, which never copies names.
+  /// Span label ("backend:cpu", ...). Static storage: the trace
+  /// recorder never copies names and may outlive the backend.
   const char *SpanName = "backend:cpu";
   /// Modelled GPUs this backend drives (0 = pure CPU).
   unsigned DeviceCount = 0;

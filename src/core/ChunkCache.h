@@ -34,6 +34,16 @@ public:
   /// most-recently-used; nullopt on miss.
   std::optional<ByteVector> get(std::uint64_t Location);
 
+  /// Returns a copy of the cached chunk, or nullopt. Does not promote
+  /// and does not count as a lookup (scrub-and-repair's copies must not
+  /// skew hit rates or reorder the LRU).
+  std::optional<ByteVector> peek(std::uint64_t Location) const {
+    const auto It = Map.find(Location);
+    if (It == Map.end())
+      return std::nullopt;
+    return It->second->Chunk;
+  }
+
   /// True if \p Location is cached. Does not promote and does not
   /// count as a lookup (readahead planning must not skew hit rates).
   bool contains(std::uint64_t Location) const {

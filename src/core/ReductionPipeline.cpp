@@ -541,10 +541,11 @@ ReductionPipeline::scrub(std::span<const ChunkRecord> Records, bool Repair) {
       Locations.push_back(Records[Order[I]].Location);
     // Take the cached copies *before* the flash read: a corrupt read
     // invalidates them, and they are the only repair source there is.
+    // Peeked, not looked up: scrub is not a cache client.
     Copies.clear();
     if (RepairCache)
       for (const std::uint64_t Location : Locations)
-        Copies.push_back(RepairCache->get(Location));
+        Copies.push_back(RepairCache->peek(Location));
     Chunks.clear();
     reader().readLocations(Locations, Chunks, nullptr, /*BypassCache=*/true);
 

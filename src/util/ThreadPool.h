@@ -5,9 +5,10 @@
 ///
 /// The pool is deliberately simple: a single locked queue feeding N
 /// workers, plus a structured `parallelFor` helper that blocks the caller
-/// until all slices complete. The evaluation harness measures *modelled*
-/// time (see sim/CostModel.h), so the pool only needs to be functionally
-/// parallel, not maximally scalable.
+/// until all slices complete. Modelled time (sim/CostModel.h) does not
+/// depend on it, but host time does: the hashing, codec, index and
+/// modelled-kernel bodies all run across it, so a stage that leaves it
+/// idle shows up directly in measured host throughput.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -54,7 +55,9 @@ public:
 
   /// Runs `Body(SliceBegin, SliceEnd, SliceIndex)` for a partition of
   /// [Begin, End) into at most `size()` contiguous slices and blocks
-  /// until all slices complete.
+  /// until all slices complete. The wait is `waitIdle`, which waits for
+  /// the whole pool, so neither this nor `parallelFor` may be called
+  /// from a pool worker.
   void parallelForSlices(
       std::size_t Begin, std::size_t End,
       const std::function<void(std::size_t, std::size_t, unsigned)> &Body);

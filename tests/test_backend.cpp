@@ -14,6 +14,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "backend/AutoSplitter.h"
+#include "backend/GpuBackend.h"
 #include "core/ReductionPipeline.h"
 #include "fault/FaultInjector.h"
 #include "fault/FaultPlan.h"
@@ -422,6 +423,80 @@ TEST(BackendTuner, WindowClampAndConfigSurvive) {
   ASSERT_NE(Pipeline.splitter(), nullptr);
   EXPECT_EQ(Pipeline.splitter()->config().TunerWindow, 1u);
   EXPECT_EQ(Pipeline.gpuDeviceCount(), 1u);
+}
+
+//===----------------------------------------------------------------------===//
+// Pool width: the lane kernel body runs chunk-parallel, priced serially
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+/// One unpipelined gpu-compress slice over \p Data, on a fresh ledger
+/// and a pool of \p Workers threads.
+struct KernelRun {
+  std::vector<CompressedChunk> Out;
+  std::vector<BatchScheduler::CompressSlice> Slices;
+  std::array<double, ResourceCount> BusyUs{};
+};
+
+KernelRun compressOnPool(unsigned Workers, const ByteVector &Data) {
+  const CostModel Model = Platform::paper().Model;
+  ResourceLedger Ledger;
+  ThreadPool Pool(Workers);
+  GpuDevice Device(Model, Ledger);
+  backend::GpuBackend Backend(Model, Ledger, Pool, Device,
+                              CompressEngineConfig());
+  std::vector<ChunkView> Views;
+  for (std::size_t Offset = 0; Offset < Data.size(); Offset += 4096)
+    Views.push_back(ChunkView{
+        ByteSpan(Data.data() + Offset, std::min<std::size_t>(
+                                           4096, Data.size() - Offset)),
+        Offset});
+  KernelRun Run;
+  Run.Out.resize(Views.size());
+  Backend.executeSlice(Views, 0, Views.size(), Run.Out, Run.Slices,
+                       /*Pipelined=*/false);
+  for (unsigned R = 0; R < ResourceCount; ++R)
+    Run.BusyUs[R] = Ledger.busyMicros(static_cast<Resource>(R));
+  return Run;
+}
+
+} // namespace
+
+TEST(BackendPoolWidth, GpuLaneKernelIdenticalOnOneAndEightWorkers) {
+  // Three sub-batches of lane kernels. The kernel time is summed in
+  // chunk order whatever the pool width, so blocks, per-chunk
+  // latencies, device ops and the GPU/PCIe charges are bit-equal.
+  const ByteVector Data = makeStream(3ull << 20);
+  const KernelRun One = compressOnPool(1, Data);
+  const KernelRun Eight = compressOnPool(8, Data);
+  ASSERT_EQ(One.Out.size(), Eight.Out.size());
+  for (std::size_t I = 0; I < One.Out.size(); ++I) {
+    SCOPED_TRACE("chunk " + std::to_string(I));
+    EXPECT_EQ(One.Out[I].Block, Eight.Out[I].Block);
+    EXPECT_EQ(One.Out[I].StoredRaw, Eight.Out[I].StoredRaw);
+    EXPECT_EQ(One.Out[I].LatencyUs, Eight.Out[I].LatencyUs);
+  }
+  ASSERT_EQ(One.Slices.size(), 1u);
+  ASSERT_EQ(Eight.Slices.size(), 1u);
+  const std::vector<GpuOp> &OneOps = One.Slices[0].Ops;
+  const std::vector<GpuOp> &EightOps = Eight.Slices[0].Ops;
+  ASSERT_EQ(OneOps.size(), 9u); // H2D, kernel, D2H per sub-batch
+  ASSERT_EQ(OneOps.size(), EightOps.size());
+  for (std::size_t I = 0; I < OneOps.size(); ++I) {
+    EXPECT_EQ(OneOps[I].Op, EightOps[I].Op);
+    EXPECT_EQ(OneOps[I].Micros, EightOps[I].Micros);
+  }
+  EXPECT_EQ(One.BusyUs[static_cast<unsigned>(Resource::Gpu)],
+            Eight.BusyUs[static_cast<unsigned>(Resource::Gpu)]);
+  EXPECT_EQ(One.BusyUs[static_cast<unsigned>(Resource::Pcie)],
+            Eight.BusyUs[static_cast<unsigned>(Resource::Pcie)]);
+  // The CPU refinement pass (parallel before the kernel body was) books
+  // one whole-nanosecond charge per pool slice, so its total may differ
+  // by up to one rounding step per slice: 3 sub-batches x 8 slices.
+  EXPECT_NEAR(One.BusyUs[static_cast<unsigned>(Resource::CpuPool)],
+              Eight.BusyUs[static_cast<unsigned>(Resource::CpuPool)],
+              3 * 8 * 1e-3);
 }
 
 //===----------------------------------------------------------------------===//

@@ -88,6 +88,23 @@ TEST(ChunkCache, InvalidateAndClear) {
   EXPECT_EQ(Cache.cachedBytes(), 0u);
 }
 
+TEST(ChunkCache, PeekNeitherCountsNorPromotes) {
+  ChunkCache Cache(300);
+  Cache.put(1, bytesOfSize(100, 1));
+  Cache.put(2, bytesOfSize(100, 2));
+  Cache.put(3, bytesOfSize(100, 3));
+  const auto Copy = Cache.peek(1);
+  ASSERT_TRUE(Copy.has_value());
+  EXPECT_EQ((*Copy)[0], 1);
+  EXPECT_FALSE(Cache.peek(9).has_value());
+  EXPECT_EQ(Cache.hits(), 0u);
+  EXPECT_EQ(Cache.misses(), 0u);
+  // 1 is still the LRU victim: the peek did not promote it.
+  Cache.put(4, bytesOfSize(100, 4));
+  EXPECT_FALSE(Cache.contains(1));
+  EXPECT_TRUE(Cache.contains(2));
+}
+
 TEST(ChunkCache, CapacityNeverExceeded) {
   ChunkCache Cache(1000);
   Random Rng(5);
@@ -109,10 +126,12 @@ struct CacheFixture : ::testing::Test {
   std::unique_ptr<ReductionPipeline> Pipeline;
   std::unique_ptr<Volume> Vol;
 
-  void rebuild(std::size_t CacheBytes) {
+  void rebuild(std::size_t CacheBytes,
+               obs::MetricsRegistry *Metrics = nullptr) {
     PipelineConfig Config;
     Config.Dedup.Index.BinBits = 8;
     Config.ReadCacheBytes = CacheBytes;
+    Config.Metrics = Metrics;
     Pipeline = std::make_unique<ReductionPipeline>(Platform::paper(),
                                                    Config);
     VolumeConfig VolConfig;
@@ -186,6 +205,28 @@ TEST_F(CacheFixture, ScrubBypassesCacheAndSeesFlashCorruption) {
   EXPECT_TRUE(Vol->readBlocks(0, 1).has_value());
   // …but the scrub must not be fooled.
   EXPECT_EQ(Vol->scrub().CorruptChunks, 1u);
+}
+
+TEST_F(CacheFixture, ScrubAndRepairOfAHealthyStoreLeavesCacheCountersAlone) {
+  obs::MetricsRegistry Metrics;
+  rebuild(1 << 20, &Metrics);
+  for (std::uint64_t Lba = 0; Lba < 16; ++Lba)
+    writeOneBlock(20 + Lba, Lba);
+  for (int Pass = 0; Pass < 2; ++Pass) // warm: 16 misses, then 16 hits
+    ASSERT_TRUE(Vol->readBlocks(0, 16).has_value());
+  const ChunkCache &Cache = *Pipeline->readCache();
+  const std::uint64_t Hits = Cache.hits(), Misses = Cache.misses();
+  ASSERT_EQ(Misses, 16u);
+  ASSERT_EQ(Hits, 16u);
+
+  const Volume::ScrubRepairReport Report = Vol->scrubAndRepair();
+  EXPECT_EQ(Report.ChunksScanned, 16u);
+  EXPECT_EQ(Report.CorruptChunks, 0u);
+  // The repair copies are peeks, not reads: no lookup is counted.
+  EXPECT_EQ(Cache.hits(), Hits);
+  EXPECT_EQ(Cache.misses(), Misses);
+  EXPECT_EQ(Metrics.findCounter("padre_cache_hit_total")->value(), Hits);
+  EXPECT_EQ(Metrics.findCounter("padre_cache_miss_total")->value(), Misses);
 }
 
 TEST_F(CacheFixture, DedupConcentratesReadsIntoTheCache) {

@@ -2,8 +2,9 @@
 ///
 /// \file
 /// Unit tests for the hash module: SHA-1 against official test
-/// vectors, CRC-32C check values, FNV-1a, and the fingerprint
-/// bin/prefix arithmetic the dedup index relies on.
+/// vectors, CRC-32C check values, the hardware SHA-1 and CRC-32C paths
+/// against their portable oracles, and the fingerprint bin/prefix
+/// arithmetic the dedup index relies on.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -15,6 +16,7 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <iostream>
 #include <string>
 #include <vector>
 
@@ -114,6 +116,116 @@ TEST(Crc32c, DetectsBitFlip) {
   const std::uint32_t Before = crc32c(ByteSpan(Data.data(), Data.size()));
   Data[50] ^= 0x01;
   EXPECT_NE(crc32c(ByteSpan(Data.data(), Data.size())), Before);
+}
+
+//===----------------------------------------------------------------------===//
+// Hardware paths against the portable oracles
+//===----------------------------------------------------------------------===//
+
+static ByteVector randomBytes(std::size_t Size, std::uint64_t Seed) {
+  Random Rng(Seed);
+  ByteVector Data(Size);
+  Rng.fillBytes(Data.data(), Data.size());
+  return Data;
+}
+
+static Sha1::Digest scalarDigest(ByteSpan Data) {
+  Sha1 Context = Sha1::scalar();
+  Context.update(Data);
+  return Context.final();
+}
+
+static bool sha1OnHardware() { return std::string(Sha1::path()) != "scalar"; }
+static bool crc32cOnHardware() { return std::string(crc32cPath()) != "scalar"; }
+
+TEST(HashDispatch, ReportsThePathsThisCpuTakes) {
+  // Printed so a CI log shows which paths the runner exercised; on a
+  // CPU without the features both read "scalar" and the oracle tests
+  // below skip.
+  std::cout << "sha1 path: " << Sha1::path() << "\ncrc32c path: "
+            << crc32cPath() << "\n";
+  RecordProperty("sha1_path", Sha1::path());
+  RecordProperty("crc32c_path", crc32cPath());
+  EXPECT_TRUE(std::string(Sha1::path()) == "scalar" ||
+              std::string(Sha1::path()) == "sha-ni");
+  EXPECT_TRUE(std::string(crc32cPath()) == "scalar" ||
+              std::string(crc32cPath()) == "sse4.2");
+}
+
+TEST(Sha1Dispatch, HardwareMatchesScalarAtEveryLength) {
+  if (!sha1OnHardware())
+    GTEST_SKIP() << "CPU lacks SHA-NI: only the scalar path runs";
+  const ByteVector Data = randomBytes(64 * 1024, 7);
+  std::vector<std::size_t> Lengths;
+  for (std::size_t Length = 0; Length <= 300; ++Length)
+    Lengths.push_back(Length);
+  Lengths.push_back(4096);
+  Lengths.push_back(64 * 1024);
+  for (std::size_t Length : Lengths) {
+    const ByteSpan Piece(Data.data(), Length);
+    EXPECT_EQ(Sha1::digest(Piece), scalarDigest(Piece)) << "length " << Length;
+  }
+}
+
+TEST(Sha1Dispatch, StreamingSplitsMatchScalar) {
+  if (!sha1OnHardware())
+    GTEST_SKIP() << "CPU lacks SHA-NI: only the scalar path runs";
+  Random Rng(11);
+  for (int Round = 0; Round < 200; ++Round) {
+    const std::size_t Size = Rng.nextBelow(5000);
+    const ByteVector Data = randomBytes(Size, 100 + Round);
+    Sha1 Hardware;
+    Sha1 Scalar = Sha1::scalar();
+    std::size_t Offset = 0;
+    while (Offset < Size) {
+      const std::size_t Take =
+          std::min<std::size_t>(Size - Offset, Rng.nextBelow(200));
+      Hardware.update(ByteSpan(Data.data() + Offset, Take));
+      Scalar.update(ByteSpan(Data.data() + Offset, Take));
+      Offset += Take;
+    }
+    EXPECT_EQ(Hardware.final(), Scalar.final()) << "round " << Round;
+  }
+}
+
+TEST(Crc32cDispatch, HardwareMatchesScalarAtEveryLengthAndSeed) {
+  if (!crc32cOnHardware())
+    GTEST_SKIP() << "CPU lacks SSE4.2: only the scalar path runs";
+  const ByteVector Data = randomBytes(64 * 1024, 9);
+  std::vector<std::size_t> Lengths;
+  for (std::size_t Length = 0; Length <= 300; ++Length)
+    Lengths.push_back(Length);
+  Lengths.push_back(4096);
+  Lengths.push_back(64 * 1024);
+  for (std::uint32_t Seed : {0u, 1u, 0xE3069283u, 0xFFFFFFFFu})
+    for (std::size_t Length : Lengths) {
+      const ByteSpan Piece(Data.data(), Length);
+      EXPECT_EQ(crc32c(Piece, Seed), crc32cScalar(Piece, Seed))
+          << "length " << Length << " seed " << Seed;
+    }
+}
+
+TEST(Crc32cDispatch, UnalignedStartsAndSeedChainingMatchScalar) {
+  if (!crc32cOnHardware())
+    GTEST_SKIP() << "CPU lacks SSE4.2: only the scalar path runs";
+  const ByteVector Data = randomBytes(4096 + 64, 13);
+  Random Rng(17);
+  for (std::size_t Offset = 0; Offset < 16; ++Offset) {
+    const ByteSpan Whole(Data.data() + Offset, 4096 + Offset % 8);
+    const std::uint32_t Expected = crc32cScalar(Whole);
+    EXPECT_EQ(crc32c(Whole), Expected) << "offset " << Offset;
+    // Chain through random split points: each piece starts wherever
+    // the last one ended, aligned or not.
+    std::uint32_t Chained = 0;
+    std::size_t Done = 0;
+    while (Done < Whole.size()) {
+      const std::size_t Take =
+          std::min<std::size_t>(Whole.size() - Done, Rng.nextBelow(100));
+      Chained = crc32c(Whole.subspan(Done, Take), Chained);
+      Done += Take;
+    }
+    EXPECT_EQ(Chained, Expected) << "offset " << Offset;
+  }
 }
 
 //===----------------------------------------------------------------------===//

@@ -21,6 +21,7 @@
 #include <cmath>
 #include <map>
 #include <sstream>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -638,9 +639,6 @@ TEST_P(ObsPipelineTest, StageSpanTotalsReconcileWithReportBusyTimes) {
               Trace.laneTotalUs(Resource::Pcie, CategoryStage) + 1.0);
     EXPECT_LE(Trace.laneTotalUs(Resource::Ssd, CategoryIo),
               Trace.laneTotalUs(Resource::Ssd, CategoryStage) + 1.0);
-    // Only stage spans are inspected by name: their names are string
-    // literals, while the GPU backend's span names die with the
-    // pipeline.
     double FetchSsdUs = 0.0;
     for (const TraceSpan &Span : Trace.spans())
       if (Span.Lane == Resource::Ssd &&
@@ -649,6 +647,22 @@ TEST_P(ObsPipelineTest, StageSpanTotalsReconcileWithReportBusyTimes) {
         FetchSsdUs += Span.DurUs;
     EXPECT_EQ(FetchSsdUs > 0.0, Verify);
   }
+}
+
+TEST_P(ObsPipelineTest, SpanNamesOutliveThePipeline) {
+  // The recorder keeps names by pointer, so every name — the backend
+  // spans included — must still be readable once the pipeline that
+  // emitted it is gone (ASan flags a dangling one).
+  TraceRecorder Trace;
+  runPipeline(GetParam(), &Trace, nullptr);
+  std::set<std::string> Names;
+  for (const TraceSpan &Span : Trace.spans())
+    Names.insert(Span.Name);
+  EXPECT_EQ(Names.count("backend:gpu"),
+            GetParam() == PipelineMode::GpuCompress ? 1u : 0u);
+  EXPECT_EQ(Names.count("backend:cpu"),
+            GetParam() == PipelineMode::CpuOnly ? 1u : 0u);
+  EXPECT_NE(Trace.chromeJson().find("\"backend:"), std::string::npos);
 }
 
 TEST_P(ObsPipelineTest, MetricsMatchTheReport) {

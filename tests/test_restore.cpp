@@ -317,6 +317,52 @@ TEST_F(RestoreFixture, WarpDecodeRoundTripsFramedStream) {
   }
 }
 
+TEST(RestorePoolWidth, WarpDecodeIdenticalOnOneAndEightWorkers) {
+  // The warp kernel body runs chunk-parallel on the pool; its price is
+  // summed serially in chunk order, so the decoded bytes and every
+  // ledger charge of the read are bit-equal at any pool width.
+  const ByteVector Data = makeStream(2 << 20);
+  struct Run {
+    ByteVector Bytes;
+    std::array<double, ResourceCount> DeltaUs{};
+    std::uint64_t WarpBatches = 0;
+  };
+  const auto readOn = [&Data](unsigned Workers) {
+    Platform Plat = Platform::paper();
+    Plat.Model.Cpu.Threads = Workers;
+    PipelineConfig Config;
+    Config.Compress.SubBlocks = 4;
+    ReductionPipeline Pipeline(Plat, Config);
+    Pipeline.write(ByteSpan(Data.data(), Data.size()));
+    Pipeline.finish();
+    EXPECT_EQ(Pipeline.pool().size(), Workers);
+    // The write side's charges may round differently per pool width;
+    // start the read from a zeroed ledger.
+    Pipeline.resetMeasurement();
+    ReadConfig ReadCfg;
+    ReadCfg.Mode = DecodeMode::WarpGpu;
+    ReadPipeline Reader(Pipeline, ReadCfg);
+    Run Result;
+    Result.Bytes = Reader.readStream(Pipeline.recipe()).value_or(ByteVector());
+    for (unsigned R = 0; R < ResourceCount; ++R)
+      Result.DeltaUs[R] =
+          Pipeline.ledger().busyMicros(static_cast<Resource>(R));
+    Result.WarpBatches = Reader.report().WarpBatches;
+    return Result;
+  };
+  const Run One = readOn(1);
+  const Run Eight = readOn(8);
+  EXPECT_EQ(One.Bytes, Data);
+  EXPECT_EQ(Eight.Bytes, Data);
+  EXPECT_GT(One.WarpBatches, 1u);
+  EXPECT_EQ(One.WarpBatches, Eight.WarpBatches);
+  for (unsigned R = 0; R < ResourceCount; ++R) {
+    SCOPED_TRACE(resourceName(static_cast<Resource>(R)));
+    EXPECT_EQ(One.DeltaUs[R], Eight.DeltaUs[R]);
+  }
+  EXPECT_GT(One.DeltaUs[static_cast<unsigned>(Resource::Gpu)], 0.0);
+}
+
 TEST_F(RestoreFixture, FramedStreamDecodesOnCpuBitExact) {
   writeFramed(2 << 20);
   ReadConfig Config;
