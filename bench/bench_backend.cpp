@@ -19,7 +19,7 @@
 ///     modelled GPU to two on a GPU-bound stream, with busy charges
 ///     invariant across the device count.
 ///
-/// Emits BENCH_backend.json. `--smoke` runs a reduced stream over a
+/// Emits bench_backend.json. `--smoke` runs a reduced stream over a
 /// two-point sweep — the CI variant.
 ///
 //===----------------------------------------------------------------------===//
@@ -313,7 +313,7 @@ int main(int Argc, char **Argv) {
     Pass = false;
   }
 
-  const char *JsonPath = "BENCH_backend.json";
+  const char *JsonPath = "bench_backend.json";
   if (!writeJson(JsonPath, Rows, ScaleX))
     std::fprintf(stderr, "warning: cannot write %s\n", JsonPath);
   else

@@ -16,7 +16,7 @@
 ///      reproduce the pre-FTL NAND byte counts bit-exactly (golden
 ///      values captured before the FTL existed).
 ///
-/// Emits BENCH_ftl.json. `--smoke` runs a reduced scenario sweep.
+/// Emits bench_ftl.json. `--smoke` runs a reduced scenario sweep.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -274,7 +274,7 @@ int main(int Argc, char **Argv) {
   std::printf("\nconstant-WA parity (FTL off): %s\n",
               ParityPass ? "bit-exact with pre-FTL goldens" : "FAILED");
 
-  const char *JsonPath = "BENCH_ftl.json";
+  const char *JsonPath = "bench_ftl.json";
   if (!writeJson(JsonPath, Shapes, Off, On, ParityPass))
     std::fprintf(stderr, "warning: cannot write %s\n", JsonPath);
   else

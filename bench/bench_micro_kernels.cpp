@@ -3,8 +3,9 @@
 /// \file
 /// google-benchmark micro-kernels for the functional substrates: SHA-1
 /// fingerprinting and CRC-32C (the dispatched path beside the scalar
-/// oracle), both LZ matchers, GPU lane compression + refinement,
-/// bin-index probes and the chunkers. These measure *host* wall time of
+/// oracle), both LZ matchers, the LZ decoder, GPU lane compression +
+/// refinement, the warp decode kernel body, bin-index probes and the
+/// chunkers. These measure *host* wall time of
 /// the functional code (not modelled time) — useful for keeping the
 /// simulation itself fast and for profiling regressions.
 ///
@@ -14,6 +15,7 @@
 #include "chunk/FixedChunker.h"
 #include "chunk/RabinChunker.h"
 #include "compress/GpuLaneCompressor.h"
+#include "compress/GpuWarpDecompressor.h"
 #include "compress/LzCodec.h"
 #include "hash/Crc32.h"
 #include "hash/Sha1.h"
@@ -126,6 +128,28 @@ void BM_GpuLaneKernel(benchmark::State &State) {
                           Data.size());
 }
 BENCHMARK(BM_GpuLaneKernel)->Arg(4)->Arg(8)->Arg(16);
+
+/// The restore engine's warp path for one chunk: the O(N) plan plus the
+/// runWarps body over an 8-sub-block framed 4 KiB chunk.
+void BM_WarpDecode(benchmark::State &State) {
+  const LzCodec Codec(LzCodec::MatcherKind::SingleProbe);
+  const ByteVector Data = makeData(4096, 2.0);
+  const FramedCompressResult Framed =
+      Codec.compressFramed(ByteSpan(Data.data(), Data.size()), 8);
+  const ByteSpan Payload(Framed.Payload.data(), Framed.Payload.size());
+  WarpSubBlock Table[MaxSubBlocks];
+  for (auto _ : State) {
+    auto Plan = GpuWarpDecompressor::plan(
+        Payload, Data.size(), std::span<WarpSubBlock>(Table, MaxSubBlocks));
+    ByteVector Out;
+    const bool Ok = Plan && GpuWarpDecompressor::runWarps(Payload, *Plan, Out);
+    benchmark::DoNotOptimize(Ok);
+    benchmark::DoNotOptimize(Out);
+  }
+  State.SetBytesProcessed(static_cast<std::int64_t>(State.iterations()) *
+                          Data.size());
+}
+BENCHMARK(BM_WarpDecode);
 
 void BM_IndexBatch(benchmark::State &State) {
   DedupIndexConfig Config;

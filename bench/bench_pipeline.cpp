@@ -10,7 +10,7 @@
 /// dependency-constrained wall time moves — so the speedup column
 /// isolates the scheduling win.
 ///
-/// Emits BENCH_pipeline.json (machine-readable rows) next to the
+/// Emits bench_pipeline.json (machine-readable rows) next to the
 /// binary's working directory. Exit status is the acceptance gate:
 /// nonzero unless depth 4 strictly beats depth 1 on gpu-compress wall
 /// throughput (and, in the full run, by the >= 1.3x bar).
@@ -117,7 +117,7 @@ int main(int Argc, char **Argv) {
                 Speedup);
   }
 
-  const char *JsonPath = "BENCH_pipeline.json";
+  const char *JsonPath = "bench_pipeline.json";
   if (!writeJson(JsonPath, Rows))
     std::fprintf(stderr, "warning: cannot write %s\n", JsonPath);
   else

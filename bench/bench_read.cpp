@@ -16,7 +16,7 @@
 ///   4. the cache-size sweep and a mixed R/W trace replay (full runs
 ///      only), the deployment shape.
 ///
-/// Emits BENCH_read.json. Exit status is the acceptance gate (E11):
+/// Emits bench_read.json. Exit status is the acceptance gate (E11):
 /// every decoded chunk bit-identical to the serial CPU decode across
 /// modes, sub-block counts and fault replays; warp-GPU beats the CPU
 /// pool at batch depth <= 16; sub-block ratio loss <= 5% on the
@@ -335,7 +335,7 @@ int main(int Argc, char **Argv) {
                 "re-reads hit the cache.\n");
   }
 
-  const char *JsonPath = "BENCH_read.json";
+  const char *JsonPath = "bench_read.json";
   if (!writeJson(JsonPath, Depths, Ratios, Fallbacks, FaultBitIdentical))
     std::fprintf(stderr, "warning: cannot write %s\n", JsonPath);
   else

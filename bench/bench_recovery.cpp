@@ -16,7 +16,7 @@
 ///      space. Recovery must stay ~flat — it is bounded by the log and
 ///      the mapped set, not by how large the volume could be.
 ///
-/// Emits BENCH_recovery.json. `--smoke` runs reduced sweeps and only
+/// Emits bench_recovery.json. `--smoke` runs reduced sweeps and only
 /// the hard gates (CI).
 ///
 //===----------------------------------------------------------------------===//
@@ -304,7 +304,7 @@ int main(int Argc, char **Argv) {
   std::printf("expected shape: time follows the log, not the address "
               "space.\n");
 
-  const char *JsonPath = "BENCH_recovery.json";
+  const char *JsonPath = "bench_recovery.json";
   if (!writeJson(JsonPath, Overhead, LogSweep, VolumeSweep))
     std::fprintf(stderr, "warning: cannot write %s\n", JsonPath);
   else

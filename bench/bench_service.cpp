@@ -10,7 +10,7 @@
 /// index memory; demoted streams fall back to deferred dedup
 /// (BackgroundReducer sweeps).
 ///
-/// Emits BENCH_service.json. `--smoke` runs a reduced sweep and only
+/// Emits bench_service.json. `--smoke` runs a reduced sweep and only
 /// the hard gates (CI).
 ///
 //===----------------------------------------------------------------------===//
@@ -185,7 +185,7 @@ int main(int Argc, char **Argv) {
               "inline; LRU's recency ranking evicts the hot\ntenant and "
               "pays for it in raw writes + deferred sweeps.\n");
 
-  const char *JsonPath = "BENCH_service.json";
+  const char *JsonPath = "bench_service.json";
   if (!writeJson(JsonPath, Cache))
     std::fprintf(stderr, "warning: cannot write %s\n", JsonPath);
   else

@@ -19,19 +19,20 @@
 /// cross-warp lockstep).
 ///
 /// `plan` is the O(N) header parse; `runWarps` is the functional kernel
-/// body. runWarps fills each sub-block's token/divergence/overlap
-/// counts as it decodes — the charge inputs are known only after the
-/// functional pass, the same idiom as the write-side kernels — and the
-/// restore engine then charges sum over sub-blocks of
-/// CostModel::gpuWarpSubBlockUs.
+/// body: it runs the one LZ decoder, LzCodec::decompress, per
+/// sub-block with the sub-block as its counts sink, so each sub-block's
+/// token/divergence/overlap counts are filled as it decodes — the
+/// charge inputs are known only after the functional pass, the same
+/// idiom as the write-side kernels — and the restore engine then
+/// charges sum over sub-blocks of CostModel::gpuWarpSubBlockUs.
 ///
 /// History reset at sub-block boundaries makes every back-reference
-/// intra-sub-block by construction; runWarps enforces that (a distance
-/// reaching before the sub-block's own output is a malformed payload,
-/// never a data dependency). Self-overlapping matches
-/// (distance < length) are counted per sub-block: Gompresso resolves
-/// them with bit-parallel log-step replication, modelled by
-/// GpuCosts::WarpOverlapPerMatchNs.
+/// intra-sub-block by construction; one decoder call per sub-block
+/// enforces that (a distance reaching before the sub-block's own
+/// output is a malformed payload, never a data dependency).
+/// Self-overlapping matches (distance < length) are counted per
+/// sub-block: Gompresso resolves them with bit-parallel log-step
+/// replication, modelled by GpuCosts::WarpOverlapPerMatchNs.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -47,19 +48,10 @@
 namespace padre {
 
 /// One warp's share of a framed chunk decode: the sub-block's extents
-/// (from the frame header) plus the functional counts runWarps fills —
-/// the inputs to CostModel::gpuWarpSubBlockUs.
-struct WarpSubBlock {
+/// (from the frame header) plus the token counts runWarps fills (the
+/// LzTokenCounts base) — the inputs to CostModel::gpuWarpSubBlockUs.
+struct WarpSubBlock : LzTokenCounts {
   SubBlockSeg Seg;
-  /// Tokens the reader sub-warp streams (literal runs + matches).
-  std::uint32_t Tokens = 0;
-  /// Literal<->match transitions — the (reader-path) divergence driver.
-  std::uint32_t TokenSwitches = 0;
-  /// Self-overlapping matches (distance < length): Gompresso's
-  /// bit-parallel replication case.
-  std::uint32_t OverlapMatches = 0;
-  /// Byte mix of the sub-block.
-  CompressStats Stats;
 };
 
 /// The O(N) plan for one framed chunk. SubBlocks views caller-owned
@@ -90,8 +82,8 @@ public:
   /// \p Out, and fills the per-sub-block counts in Plan.SubBlocks.
   /// Every back-distance must stay inside the sub-block's own output
   /// (history reset at the boundary); any violation or malformed token
-  /// fails with no partial output appended. Functionally identical to
-  /// the serial LzCodec::decompress of the same chunk.
+  /// fails with no partial output appended. Runs LzCodec::decompress
+  /// per sub-block, so it is bit-identical to the CPU decode.
   static bool runWarps(ByteSpan Payload, GpuWarpPlan &Plan, ByteVector &Out);
 };
 

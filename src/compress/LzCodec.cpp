@@ -2,8 +2,8 @@
 ///
 /// \file
 /// LZ token codec implementation: greedy/lazy hash-chain matcher, the
-/// single-probe fast matcher, the shared token emitter, and the shared
-/// bounds-checked decoder.
+/// single-probe fast matcher, the shared token emitter, and the one
+/// bounds-checked token decoder.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -12,6 +12,7 @@
 #include "compress/SubBlockFrame.h"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
 #include <cstring>
 #include <vector>
@@ -32,25 +33,37 @@ std::uint32_t hashGram(const std::uint8_t *Data) {
 }
 
 /// Length of the common prefix of chunk positions \p A and \p B,
-/// bounded by \p Limit.
+/// bounded by \p Limit, a word at a time (the first unequal word's XOR
+/// locates the mismatch). No load reaches past Limit bytes.
 std::size_t matchLength(const std::uint8_t *Chunk, std::size_t A,
                         std::size_t B, std::size_t Limit) {
   std::size_t Length = 0;
+  for (; Length + 8 <= Limit; Length += 8) {
+    std::uint64_t L, R;
+    std::memcpy(&L, Chunk + A + Length, 8);
+    std::memcpy(&R, Chunk + B + Length, 8);
+    if (const std::uint64_t Diff = L ^ R)
+      return Length + (std::endian::native == std::endian::little
+                           ? std::countr_zero(Diff)
+                           : std::countl_zero(Diff)) / 8;
+  }
   while (Length < Limit && Chunk[A + Length] == Chunk[B + Length])
     ++Length;
   return Length;
 }
 
-/// Accumulates tokens and stats for one compression run.
+/// Accumulates tokens and stats for one compression run. The bytes
+/// before each match (or the end) since the last are its literal run.
 class TokenEmitter {
 public:
-  explicit TokenEmitter(CompressResult &Result) : Result(Result) {}
+  TokenEmitter(const std::uint8_t *Chunk, std::size_t Begin,
+               CompressResult &Result)
+      : Chunk(Chunk), Literals(Begin), Result(Result) {}
 
-  void literal(std::uint8_t Byte) { Pending.push_back(Byte); }
-
-  void match(std::size_t Distance, std::size_t Length) {
+  void match(std::size_t Position, std::size_t Distance, std::size_t Length) {
     assert(Distance >= 1 && Distance <= 65535 && "Distance out of range");
-    flushLiterals();
+    flushLiterals(Position);
+    Literals = Position + Length;
     // Split long matches so that every piece is within [MinMatch,
     // MaxMatch]; never leave a sub-MinMatch remainder.
     while (Length > 0) {
@@ -69,27 +82,25 @@ public:
     }
   }
 
-  void finish() { flushLiterals(); }
+  void finish(std::size_t End) { flushLiterals(End); }
 
 private:
-  void flushLiterals() {
-    std::size_t Offset = 0;
-    while (Offset < Pending.size()) {
-      const std::size_t Run =
-          std::min(Pending.size() - Offset, LzCodec::MaxLiteralRun);
+  /// Emits the literal run [Literals, End) in pieces of MaxLiteralRun.
+  void flushLiterals(std::size_t End) {
+    while (Literals < End) {
+      const std::size_t Run = std::min(End - Literals, LzCodec::MaxLiteralRun);
       Result.Payload.push_back(static_cast<std::uint8_t>(Run - 1));
-      Result.Payload.insert(Result.Payload.end(),
-                            Pending.begin() + Offset,
-                            Pending.begin() + Offset + Run);
+      Result.Payload.insert(Result.Payload.end(), Chunk + Literals,
+                            Chunk + Literals + Run);
       Result.Stats.LiteralBytes += static_cast<std::uint32_t>(Run);
       ++Result.Stats.LiteralRuns;
-      Offset += Run;
+      Literals += Run;
     }
-    Pending.clear();
   }
 
+  const std::uint8_t *Chunk;
+  std::size_t Literals; ///< start of the pending literal run
   CompressResult &Result;
-  ByteVector Pending;
 };
 
 /// Hash-chain match finder over one chunk. Positions are inserted as
@@ -111,18 +122,24 @@ public:
 
   /// Best match at \p Position with candidates restricted to
   /// [\p WindowStart, Position) and length to \p MaxLength.
-  /// Returns length 0 if none reaches MinMatch.
+  /// Returns length 0 if none reaches MinMatch. With \p Insert, also
+  /// inserts Position (after the lookup), hashing it once for both.
   struct Match {
     std::size_t Distance = 0;
     std::size_t Length = 0;
   };
   Match find(std::size_t Position, std::size_t WindowStart,
-             std::size_t MaxLength) const {
+             std::size_t MaxLength, bool Insert) {
     Match Best;
     if (Position + LzCodec::MinMatch > ChunkSize)
       return Best;
     const std::size_t Limit = std::min(MaxLength, ChunkSize - Position);
-    std::uint32_t Candidate = Head[hashGram(Chunk + Position)];
+    const std::uint32_t Hash = hashGram(Chunk + Position);
+    std::uint32_t Candidate = Head[Hash];
+    if (Insert) {
+      Prev[Position] = Candidate;
+      Head[Hash] = static_cast<std::uint32_t>(Position);
+    }
     for (unsigned Tries = 0;
          Candidate != NoPosition && Candidate >= WindowStart &&
          Tries < MaxChainLength;
@@ -151,28 +168,44 @@ private:
 
 /// Single-probe match finder: one table slot per hash, no chains. This
 /// is the branch-light strategy suitable for lockstep GPU lanes and the
-/// QuickLZ-class fast CPU path.
+/// QuickLZ-class fast CPU path. Its table is one per thread, reused by
+/// each call (they do not nest): a slot holds Base + position, and each
+/// call's Base is MaxInputSize above the last, so older slots read as
+/// empty with no fill. Base wraps after 65536 calls; then it is cleared.
 class ProbeMatcher {
 public:
   explicit ProbeMatcher(ByteSpan Chunk)
-      : Chunk(Chunk.data()), ChunkSize(Chunk.size()),
-        Table(HashSize, NoPosition) {}
+      : Chunk(Chunk.data()), ChunkSize(Chunk.size()) {
+    thread_local std::vector<std::uint32_t> Shared(HashSize);
+    thread_local std::uint32_t LastBase = 0;
+    LastBase += static_cast<std::uint32_t>(LzCodec::MaxInputSize);
+    if (LastBase == 0) {
+      std::fill(Shared.begin(), Shared.end(), 0u);
+      LastBase = static_cast<std::uint32_t>(LzCodec::MaxInputSize);
+    }
+    Table = Shared.data();
+    Base = LastBase;
+  }
 
   void insert(std::size_t Position) {
     if (Position + LzCodec::MinMatch > ChunkSize)
       return;
     Table[hashGram(Chunk + Position)] =
-        static_cast<std::uint32_t>(Position);
+        Base + static_cast<std::uint32_t>(Position);
   }
 
   ChainMatcher::Match find(std::size_t Position, std::size_t WindowStart,
-                           std::size_t MaxLength) const {
+                           std::size_t MaxLength, bool Insert) {
     ChainMatcher::Match Best;
     if (Position + LzCodec::MinMatch > ChunkSize)
       return Best;
-    const std::uint32_t Candidate = Table[hashGram(Chunk + Position)];
-    if (Candidate == NoPosition || Candidate < WindowStart)
-      return Best;
+    std::uint32_t &Entry = Table[hashGram(Chunk + Position)];
+    const std::uint32_t Slot = Entry;
+    if (Insert)
+      Entry = Base + static_cast<std::uint32_t>(Position);
+    if (Slot < Base || Slot - Base < WindowStart)
+      return Best; // empty (a slot of an earlier call) or out of window
+    const std::size_t Candidate = Slot - Base;
     const std::size_t Limit = std::min(MaxLength, ChunkSize - Position);
     const std::size_t Length = matchLength(Chunk, Candidate, Position, Limit);
     if (Length >= LzCodec::MinMatch) {
@@ -185,47 +218,54 @@ public:
 private:
   const std::uint8_t *Chunk;
   std::size_t ChunkSize;
-  std::vector<std::uint32_t> Table;
+  std::uint32_t *Table;
+  std::uint32_t Base;
 };
 
-/// The scan loop shared by both matchers.
+/// The scan loop shared by both matchers; seeds [WindowStart, Begin) first.
 template <typename Matcher>
-void scan(Matcher &Finder, ByteSpan Chunk, std::size_t Begin,
+void scan(Matcher &&Finder, ByteSpan Chunk, std::size_t Begin,
           std::size_t End, std::size_t WindowStart, bool Lazy,
           CompressResult &Result) {
-  TokenEmitter Emitter(Result);
+  for (std::size_t I = WindowStart; I < Begin; ++I)
+    Finder.insert(I);
+  TokenEmitter Emitter(Chunk.data(), Begin, Result);
   std::size_t Position = Begin;
   while (Position < End) {
-    auto Match = Finder.find(Position, WindowStart, End - Position);
-    if (Match.Length == 0) {
-      Emitter.literal(Chunk[Position]);
-      Finder.insert(Position);
+    const auto Match =
+        Finder.find(Position, WindowStart, End - Position, /*Insert=*/true);
+    // One-byte lookahead (a lookup, no insert): if deferring yields a
+    // strictly longer match, emit this byte as a literal instead.
+    if (Match.Length == 0 ||
+        (Lazy && Position + 1 < End &&
+         Finder.find(Position + 1, WindowStart, End - Position - 1, false)
+                 .Length > Match.Length + 1)) {
       ++Position;
       continue;
     }
-    if (Lazy && Position + 1 < End) {
-      // One-byte lookahead: if deferring yields a strictly longer
-      // match, emit this byte as a literal instead.
-      Finder.insert(Position);
-      const auto Next =
-          Finder.find(Position + 1, WindowStart, End - Position - 1);
-      if (Next.Length > Match.Length + 1) {
-        Emitter.literal(Chunk[Position]);
-        ++Position;
-        continue;
-      }
-      Emitter.match(Match.Distance, Match.Length);
-      for (std::size_t I = Position + 1; I < Position + Match.Length; ++I)
-        Finder.insert(I);
-      Position += Match.Length;
-      continue;
-    }
-    Emitter.match(Match.Distance, Match.Length);
-    for (std::size_t I = Position; I < Position + Match.Length; ++I)
+    Emitter.match(Position, Match.Distance, Match.Length);
+    for (std::size_t I = Position + 1; I < Position + Match.Length; ++I)
       Finder.insert(I);
     Position += Match.Length;
   }
-  Emitter.finish();
+  Emitter.finish(End);
+}
+
+/// Copies \p N bytes between non-overlapping ranges in fixed-size moves:
+/// GCC inlines a memcpy it can bound (here by the token format) as `rep
+/// movs`, whose start-up cost tripled the decode time.
+void copyShort(std::uint8_t *To, const std::uint8_t *From, std::size_t N) {
+  if (N >= 16) {
+    for (std::size_t I = 0; I + 16 < N; I += 16)
+      std::memcpy(To + I, From + I, 16);
+    std::memcpy(To + N - 16, From + N - 16, 16); // may rewrite a few
+  } else if (N >= 8) {
+    std::memcpy(To, From, 8);
+    std::memcpy(To + N - 8, From + N - 8, 8);
+  } else {
+    for (std::size_t I = 0; I < N; ++I)
+      To[I] = From[I];
+  }
 }
 
 } // namespace
@@ -254,18 +294,12 @@ CompressResult LzCodec::compressRange(ByteSpan Chunk, std::size_t Begin,
   CompressResult Result;
   Result.Payload.reserve((End - Begin) / 2 + 16);
 
-  if (Kind == MatcherKind::HashChain) {
-    ChainMatcher Finder(Chunk, Options.MaxChainLength);
-    for (std::size_t I = WindowStart; I < Begin; ++I)
-      Finder.insert(I); // seed the overlap history
-    scan(Finder, Chunk, Begin, End, WindowStart, Options.LazyMatching,
-         Result);
-  } else {
-    ProbeMatcher Finder(Chunk);
-    for (std::size_t I = WindowStart; I < Begin; ++I)
-      Finder.insert(I);
-    scan(Finder, Chunk, Begin, End, WindowStart, /*Lazy=*/false, Result);
-  }
+  if (Kind == MatcherKind::HashChain)
+    scan(ChainMatcher(Chunk, Options.MaxChainLength), Chunk, Begin, End,
+         WindowStart, Options.LazyMatching, Result);
+  else
+    scan(ProbeMatcher(Chunk), Chunk, Begin, End, WindowStart,
+         /*Lazy=*/false, Result);
   assert(Result.Stats.LiteralBytes + Result.Stats.MatchBytes ==
              End - Begin &&
          "Tokens must cover the lane exactly");
@@ -309,45 +343,71 @@ FramedCompressResult LzCodec::compressFramed(ByteSpan Input,
 }
 
 bool LzCodec::decompress(ByteSpan Payload, std::size_t OriginalSize,
-                         ByteVector &Out) {
+                         ByteVector &Out, LzTokenCounts *Counts) {
   const std::size_t OutStart = Out.size();
-  Out.reserve(OutStart + OriginalSize);
+  Out.resize(OutStart + OriginalSize);
+  std::uint8_t *const Dst = Out.data() + OutStart;
+  const auto Fail = [&] {
+    Out.resize(OutStart);
+    return false;
+  };
   std::size_t In = 0;
   std::size_t Produced = 0;
+  LzTokenCounts Local;
+  enum class TokenKind { None, Literal, Match } Last = TokenKind::None;
   while (In < Payload.size()) {
     const std::uint8_t Control = Payload[In++];
     if ((Control & 0x80) == 0) {
       const std::size_t Run = static_cast<std::size_t>(Control) + 1;
-      if (In + Run > Payload.size() || Produced + Run > OriginalSize) {
-        Out.resize(OutStart);
-        return false;
-      }
-      Out.insert(Out.end(), Payload.begin() + In, Payload.begin() + In + Run);
+      if (Run > Payload.size() - In || Run > OriginalSize - Produced)
+        return Fail();
+      copyShort(Dst + Produced, Payload.data() + In, Run);
       In += Run;
       Produced += Run;
+      Local.Stats.LiteralBytes += static_cast<std::uint32_t>(Run);
+      ++Local.Stats.LiteralRuns;
+      Local.TokenSwitches += Last == TokenKind::Match;
+      Last = TokenKind::Literal;
       continue;
     }
     const std::size_t Length = (Control & 0x7F) + MinMatch;
-    if (In + 2 > Payload.size()) {
-      Out.resize(OutStart);
-      return false;
-    }
-    const std::size_t Distance = loadLe16(Payload.data() + In);
+    if (Payload.size() - In < 2)
+      return Fail();
+    const std::size_t Distance = Payload[In] | Payload[In + 1] << 8;
     In += 2;
     if (Distance == 0 || Distance > Produced ||
-        Produced + Length > OriginalSize) {
-      Out.resize(OutStart);
-      return false;
+        Length > OriginalSize - Produced)
+      return Fail();
+    std::uint8_t *const To = Dst + Produced;
+    const std::uint8_t *const From = To - Distance;
+    if (Distance >= Length) {
+      copyShort(To, From, Length);
+    } else {
+      // Self-overlapping, so the output repeats with period Distance:
+      // after a bytewise head, copy words from Step back (the first
+      // multiple of Distance >= 8), which are already written.
+      std::size_t Step = Distance;
+      while (Step < 8)
+        Step += Distance;
+      std::size_t I = 0;
+      for (; I < std::min(Step - Distance, Length); ++I)
+        To[I] = From[I];
+      for (; I + 8 <= Length; I += 8)
+        std::memcpy(To + I, To + I - Step, 8);
+      for (; I < Length; ++I)
+        To[I] = From[I];
+      ++Local.OverlapMatches;
     }
-    // Byte-wise copy: overlapping matches (distance < length) replicate
-    // the repeated pattern, as LZ semantics require.
-    for (std::size_t I = 0; I < Length; ++I)
-      Out.push_back(Out[Out.size() - Distance]);
     Produced += Length;
+    Local.Stats.MatchBytes += static_cast<std::uint32_t>(Length);
+    ++Local.Stats.Matches;
+    Local.TokenSwitches += Last == TokenKind::Literal;
+    Last = TokenKind::Match;
   }
-  if (Produced != OriginalSize) {
-    Out.resize(OutStart);
-    return false;
-  }
+  if (Produced != OriginalSize)
+    return Fail();
+  Local.Tokens = Local.Stats.LiteralRuns + Local.Stats.Matches;
+  if (Counts)
+    *Counts = Local;
   return true;
 }

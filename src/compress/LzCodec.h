@@ -21,6 +21,9 @@
 /// Inputs are limited to 64 KiB (chunk-sized), so 16-bit distances
 /// always suffice.
 ///
+/// One decoder reads the format, LzCodec::decompress: the CPU paths
+/// call it bare, the warp kernel once per sub-block with a counts sink.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef PADRE_COMPRESS_LZCODEC_H
@@ -52,6 +55,15 @@ struct CompressStats {
   }
 };
 
+/// Per-stream token counts the decoder fills on request: the inputs of
+/// CostModel::gpuWarpSubBlockUs for one warp-decoded sub-block.
+struct LzTokenCounts {
+  std::uint32_t Tokens = 0;         ///< literal runs + matches
+  std::uint32_t TokenSwitches = 0;  ///< literal<->match transitions
+  std::uint32_t OverlapMatches = 0; ///< matches with distance < length
+  CompressStats Stats;              ///< byte mix of the stream
+};
+
 /// A compressed payload plus its functional stats.
 struct CompressResult {
   ByteVector Payload;
@@ -76,8 +88,8 @@ struct LzOptions {
   bool LazyMatching = true;
 };
 
-/// The LZ compressor. Stateless across calls; safe to share between
-/// threads.
+/// The LZ compressor. Safe to share between threads; the only state kept
+/// across calls is a per-thread hash table no call's output depends on.
 class LzCodec {
 public:
   enum class MatcherKind { HashChain, SingleProbe };
@@ -119,10 +131,12 @@ public:
                                       unsigned SubBlocks) const;
 
   /// Decodes \p Payload into exactly \p OriginalSize bytes appended to
-  /// \p Out. Returns false on any malformed token (no partial output
-  /// is appended).
+  /// \p Out. Every back-distance must reach only bytes this call
+  /// produced. Returns false on any malformed token (no partial output
+  /// is appended). When \p Counts is set, a successful decode stores
+  /// the stream's token counts there.
   static bool decompress(ByteSpan Payload, std::size_t OriginalSize,
-                         ByteVector &Out);
+                         ByteVector &Out, LzTokenCounts *Counts = nullptr);
 
   const char *name() const;
 

@@ -483,28 +483,23 @@ void ReadPipeline::decodeWarp(const std::vector<BatchItem *> &Items) {
     // the same idiom as the write-side kernels. A chunk whose token
     // stream is damaged fails here, is dropped from the plan (it is
     // malformed on any backend — no CPU retry), and issues no device
-    // traffic. The body runs chunk-parallel on the pool (warps are
-    // independent); the price is summed serially in chunk order below,
-    // so the modelled time is the same at any pool width.
-    Pipe.pool().parallelFor(Begin, End, [&](std::size_t I) {
+    // traffic. The body runs on the batch thread: a framed chunk
+    // decodes in about a microsecond, which is less than fanning a
+    // sub-batch out across the pool costs.
+    double ExecMicros = 0.0;
+    std::size_t InBytes = 0, OutBytes = 0, Planned = 0;
+    for (std::size_t I = Begin; I < End; ++I) {
       BatchItem &Item = *Items[I];
       if (!Item.WarpPlan)
-        return;
+        continue;
       Item.Decoded.clear();
-      Item.Decoded.reserve(Item.OriginalSize);
       if (!GpuWarpDecompressor::runWarps(Item.Payload, *Item.WarpPlan,
                                          Item.Decoded)) {
         Item.Failed = true;
         Item.Error = fault::ErrorCode::DecodeError;
         Item.WarpPlan.reset();
-      }
-    });
-    double ExecMicros = 0.0;
-    std::size_t InBytes = 0, OutBytes = 0, Planned = 0;
-    for (std::size_t I = Begin; I < End; ++I) {
-      const BatchItem &Item = *Items[I];
-      if (!Item.WarpPlan)
         continue;
+      }
       for (const WarpSubBlock &Sub : Item.WarpPlan->SubBlocks)
         ExecMicros +=
             Model.gpuWarpSubBlockUs(Sub.Tokens, Sub.Seg.OutputBytes,

@@ -3,20 +3,27 @@
 /// \file
 /// Unit and property tests for the compress module: block format
 /// integrity, LZ round-trips over adversarial and random inputs for
-/// both matchers, token-format edge cases, and malformed-payload
-/// rejection.
+/// both matchers, token-format edge cases, malformed-payload
+/// rejection, the one token decoder behind both the CPU and the warp
+/// decode paths, and the per-thread matcher table (no state leaks
+/// between calls, threads or table-base wraps).
 ///
 //===----------------------------------------------------------------------===//
 
 #include "compress/Block.h"
 #include "compress/ChunkCodec.h"
+#include "compress/GpuLaneCompressor.h"
+#include "compress/GpuWarpDecompressor.h"
 #include "compress/LzCodec.h"
 #include "compress/SubBlockFrame.h"
 #include "util/Random.h"
 
 #include <gtest/gtest.h>
 
+#include <latch>
 #include <string>
+#include <thread>
+#include <vector>
 
 using namespace padre;
 
@@ -568,3 +575,278 @@ TEST(LzCorruption, WrongOriginalSizeIsRejected) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, LzCorruption, ::testing::Range(0, 12));
+
+//===----------------------------------------------------------------------===//
+// The one token decoder: LzCodec::decompress and the warp kernel body
+// (GpuWarpDecompressor::runWarps) share it, so both must expand every
+// match shape exactly as the format defines it.
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+/// Reference expansion of one literal run followed by one match: the
+/// format's definition, one byte at a time.
+ByteVector referenceExpansion(const ByteVector &Literals,
+                              std::size_t Distance, std::size_t Length) {
+  ByteVector Out = Literals;
+  for (std::size_t I = 0; I < Length; ++I)
+    Out.push_back(Out[Out.size() - Distance]);
+  return Out;
+}
+
+/// Decodes \p Tokens (covering \p Size bytes) as a one-sub-block frame
+/// on the warp kernel body, returning the sub-block's counts in
+/// \p Counts.
+bool warpDecodeStream(const ByteVector &Tokens, const CompressStats &Stats,
+                      ByteVector &Out, LzTokenCounts &Counts) {
+  CompressResult Stream;
+  Stream.Payload = Tokens;
+  Stream.Stats = Stats;
+  const ByteVector Frame = frameSubBlocks(std::span(&Stream, 1));
+  WarpSubBlock Table[MaxSubBlocks];
+  auto Plan = GpuWarpDecompressor::plan(
+      ByteSpan(Frame.data(), Frame.size()),
+      Stats.LiteralBytes + Stats.MatchBytes,
+      std::span<WarpSubBlock>(Table, MaxSubBlocks));
+  if (!Plan)
+    return false;
+  if (!GpuWarpDecompressor::runWarps(ByteSpan(Frame.data(), Frame.size()),
+                                     *Plan, Out))
+    return false;
+  Counts = Plan->SubBlocks[0];
+  return true;
+}
+
+} // namespace
+
+TEST(LzSharedDecoder, OverlapSweepMatchesReferenceOnBothPaths) {
+  // Every distance 1..16 against every encodable match length: the
+  // short distances self-overlap (the byte loop), the rest take the
+  // block copy, and both paths must agree with the byte-wise reference.
+  for (std::size_t Distance = 1; Distance <= 16; ++Distance) {
+    ByteVector Literals(Distance);
+    for (std::size_t I = 0; I < Distance; ++I)
+      Literals[I] = static_cast<std::uint8_t>(I * 37 + Distance);
+    for (std::size_t Length = LzCodec::MinMatch; Length <= LzCodec::MaxMatch;
+         ++Length) {
+      ByteVector Tokens = {static_cast<std::uint8_t>(Distance - 1)};
+      Tokens.insert(Tokens.end(), Literals.begin(), Literals.end());
+      Tokens.push_back(
+          static_cast<std::uint8_t>(0x80 | (Length - LzCodec::MinMatch)));
+      Tokens.push_back(static_cast<std::uint8_t>(Distance));
+      Tokens.push_back(0);
+      const ByteVector Expected =
+          referenceExpansion(Literals, Distance, Length);
+
+      ByteVector Cpu = {0xEE};
+      ASSERT_TRUE(LzCodec::decompress(ByteSpan(Tokens.data(), Tokens.size()),
+                                      Expected.size(), Cpu))
+          << "distance " << Distance << " length " << Length;
+      EXPECT_EQ(ByteVector(Cpu.begin() + 1, Cpu.end()), Expected)
+          << "distance " << Distance << " length " << Length;
+
+      CompressStats Stats;
+      Stats.LiteralBytes = static_cast<std::uint32_t>(Distance);
+      Stats.MatchBytes = static_cast<std::uint32_t>(Length);
+      Stats.LiteralRuns = 1;
+      Stats.Matches = 1;
+      ByteVector Warp;
+      LzTokenCounts Counts;
+      ASSERT_TRUE(warpDecodeStream(Tokens, Stats, Warp, Counts))
+          << "distance " << Distance << " length " << Length;
+      EXPECT_EQ(Warp, Expected)
+          << "distance " << Distance << " length " << Length;
+      EXPECT_EQ(Counts.Tokens, 2u);
+      EXPECT_EQ(Counts.TokenSwitches, 1u);
+      EXPECT_EQ(Counts.OverlapMatches, Distance < Length ? 1u : 0u);
+      EXPECT_EQ(Counts.Stats.LiteralBytes, Distance);
+      EXPECT_EQ(Counts.Stats.MatchBytes, Length);
+    }
+  }
+}
+
+TEST(LzSharedDecoder, CountsSinkMatchesTheEncoderStats) {
+  const LzCodec Codec(LzCodec::MatcherKind::SingleProbe);
+  const ByteVector Data = repetitiveData(4096, 1300);
+  const CompressResult Result =
+      Codec.compress(ByteSpan(Data.data(), Data.size()));
+  ByteVector Out;
+  LzTokenCounts Counts;
+  ASSERT_TRUE(LzCodec::decompress(
+      ByteSpan(Result.Payload.data(), Result.Payload.size()), Data.size(),
+      Out, &Counts));
+  EXPECT_EQ(Out, Data);
+  EXPECT_EQ(Counts.Stats.LiteralBytes, Result.Stats.LiteralBytes);
+  EXPECT_EQ(Counts.Stats.MatchBytes, Result.Stats.MatchBytes);
+  EXPECT_EQ(Counts.Stats.LiteralRuns, Result.Stats.LiteralRuns);
+  EXPECT_EQ(Counts.Stats.Matches, Result.Stats.Matches);
+  EXPECT_EQ(Counts.Tokens, Result.Stats.LiteralRuns + Result.Stats.Matches);
+}
+
+//===----------------------------------------------------------------------===//
+// Matcher state across calls. The single-probe matcher reuses one hash
+// table per thread, tagging each slot with a per-call base, so a call's
+// output must never depend on what the thread compressed before: every
+// result must equal the same call made on a fresh thread.
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+/// Runs \p Compress on a fresh thread (a fresh matcher table).
+template <typename Fn> CompressResult onFreshThread(Fn Compress) {
+  CompressResult Result;
+  std::thread Worker([&] { Result = Compress(); });
+  Worker.join();
+  return Result;
+}
+
+void expectSameResult(const CompressResult &Got, const CompressResult &Want,
+                      const std::string &What) {
+  EXPECT_EQ(Got.Payload, Want.Payload) << What;
+  EXPECT_EQ(Got.Stats.LiteralBytes, Want.Stats.LiteralBytes) << What;
+  EXPECT_EQ(Got.Stats.MatchBytes, Want.Stats.MatchBytes) << What;
+  EXPECT_EQ(Got.Stats.LiteralRuns, Want.Stats.LiteralRuns) << What;
+  EXPECT_EQ(Got.Stats.Matches, Want.Stats.Matches) << What;
+}
+
+/// Chunks A and B share their 64-byte pattern, so slots A leaves in
+/// the table hash the same grams B probes.
+struct ChunkPair {
+  ByteVector A = repetitiveData(4096, 1400);
+  ByteVector B = repetitiveData(4096, 1400 + 1);
+
+  ChunkPair() {
+    // Shift B against A so a stale slot names a position whose bytes
+    // differ between the chunks.
+    B.erase(B.begin(), B.begin() + 5);
+    B.resize(4096, 0x5A);
+  }
+};
+
+} // namespace
+
+TEST(LzMatcherState, SecondChunkOnOneThreadMatchesAFreshThread) {
+  const ChunkPair Pair;
+  const ByteSpan A(Pair.A.data(), Pair.A.size());
+  const ByteSpan B(Pair.B.data(), Pair.B.size());
+  for (const auto Kind :
+       {LzCodec::MatcherKind::HashChain, LzCodec::MatcherKind::SingleProbe}) {
+    const LzCodec Codec(Kind);
+    const std::string Name = Codec.name();
+
+    // Whole chunks.
+    const CompressResult Fresh = onFreshThread([&] { return Codec.compress(B); });
+    (void)Codec.compress(A);
+    expectSameResult(Codec.compress(B), Fresh, Name + " compress");
+
+    // A lane with history, after a lane of the other chunk.
+    const CompressResult FreshLane = onFreshThread(
+        [&] { return Codec.compressRange(B, 1024, 2048, 512); });
+    (void)Codec.compressRange(A, 1024, 2048, 512);
+    expectSameResult(Codec.compressRange(B, 1024, 2048, 512), FreshLane,
+                     Name + " compressRange");
+  }
+}
+
+TEST(LzMatcherState, TableBaseWrapLeavesNoStaleSlots) {
+  // The per-call base steps by MaxInputSize through a u32, so 65536
+  // calls wrap it. Run past the wrap on one thread, then compare a full
+  // chunk against a fresh thread.
+  const ChunkPair Pair;
+  const ByteSpan B(Pair.B.data(), Pair.B.size());
+  for (const auto Kind :
+       {LzCodec::MatcherKind::HashChain, LzCodec::MatcherKind::SingleProbe}) {
+    const LzCodec Codec(Kind);
+    const CompressResult Fresh = onFreshThread([&] { return Codec.compress(B); });
+    const CompressResult AfterWrap = onFreshThread([&] {
+      const LzCodec Probe(LzCodec::MatcherKind::SingleProbe);
+      ByteVector Small = randomData(24, 1500);
+      for (std::uint32_t Call = 0; Call < 70000; ++Call) {
+        storeLe32(Small.data(), Call);
+        (void)Probe.compress(ByteSpan(Small.data(), Small.size()));
+      }
+      return Codec.compress(B);
+    });
+    expectSameResult(AfterWrap, Fresh, Codec.name());
+  }
+}
+
+TEST(LzMatcherState, MatchesEndingOnTheLastByteAtEveryLengthResidue) {
+  // A match that runs to the chunk's last byte makes matchLength compare
+  // up to its limit: every length mod 8 exercises a different split
+  // between the word loop and the byte tail. The chunk sits in an
+  // exactly-sized allocation, so an over-read fails under ASan.
+  std::vector<std::size_t> Lengths;
+  for (std::size_t Length = LzCodec::MinMatch; Length <= 20; ++Length)
+    Lengths.push_back(Length);
+  for (std::size_t Length = 128; Length <= 140; ++Length)
+    Lengths.push_back(Length); // around the MaxMatch split
+  constexpr std::size_t Period = 96;
+  for (const std::size_t Length : Lengths) {
+    // A random prefix, then Length bytes repeating it: one match at
+    // distance Period that ends on the last byte.
+    ByteVector Data = randomData(Period + Length, 1600 + Length);
+    for (std::size_t I = Period; I < Data.size(); ++I)
+      Data[I] = Data[I - Period];
+    for (const auto Kind : {LzCodec::MatcherKind::HashChain,
+                            LzCodec::MatcherKind::SingleProbe}) {
+      const LzCodec Codec(Kind);
+      const CompressResult Result =
+          Codec.compress(ByteSpan(Data.data(), Data.size()));
+      EXPECT_EQ(Result.Stats.MatchBytes, Length)
+          << Codec.name() << " length " << Length;
+      ByteVector Out;
+      ASSERT_TRUE(LzCodec::decompress(
+          ByteSpan(Result.Payload.data(), Result.Payload.size()), Data.size(),
+          Out))
+          << Codec.name() << " length " << Length;
+      EXPECT_EQ(Out, Data) << Codec.name() << " length " << Length;
+    }
+  }
+}
+
+TEST(LzMatcherState, ConcurrentThreadsMatchASerialRun) {
+  // Four threads compress at once — whole chunks on both matchers and
+  // the lane kernel — and every result must equal the serial run's.
+  constexpr unsigned Threads = 4;
+  constexpr unsigned ChunksPerThread = 64;
+  const LzCodec Chain(LzCodec::MatcherKind::HashChain);
+  const LzCodec Probe(LzCodec::MatcherKind::SingleProbe);
+  const GpuLaneCompressor Lanes;
+  std::vector<ByteVector> Chunks;
+  for (unsigned I = 0; I < Threads * ChunksPerThread; ++I)
+    Chunks.push_back(repetitiveData(4096, 1700 + I));
+
+  struct Outcome {
+    CompressResult Chain, Probe;
+    ByteVector LaneBlock;
+  };
+  auto Run = [&](const ByteVector &Chunk) {
+    const ByteSpan Span(Chunk.data(), Chunk.size());
+    return Outcome{Chain.compress(Span), Probe.compress(Span),
+                   GpuLaneCompressor::refine(Lanes.runLanes(Span), Span).Block};
+  };
+  std::vector<Outcome> Serial;
+  for (const ByteVector &Chunk : Chunks)
+    Serial.push_back(Run(Chunk));
+
+  std::vector<Outcome> Parallel(Chunks.size());
+  std::vector<std::thread> Workers;
+  std::latch Start(Threads);
+  for (unsigned T = 0; T < Threads; ++T)
+    Workers.emplace_back([&, T] {
+      Start.arrive_and_wait();
+      for (unsigned I = T; I < Chunks.size(); I += Threads)
+        Parallel[I] = Run(Chunks[I]);
+    });
+  for (std::thread &Worker : Workers)
+    Worker.join();
+
+  for (std::size_t I = 0; I < Chunks.size(); ++I) {
+    expectSameResult(Parallel[I].Chain, Serial[I].Chain,
+                     "chain chunk " + std::to_string(I));
+    expectSameResult(Parallel[I].Probe, Serial[I].Probe,
+                     "probe chunk " + std::to_string(I));
+    EXPECT_EQ(Parallel[I].LaneBlock, Serial[I].LaneBlock) << "chunk " << I;
+  }
+}

@@ -318,9 +318,9 @@ TEST_F(RestoreFixture, WarpDecodeRoundTripsFramedStream) {
 }
 
 TEST(RestorePoolWidth, WarpDecodeIdenticalOnOneAndEightWorkers) {
-  // The warp kernel body runs chunk-parallel on the pool; its price is
-  // summed serially in chunk order, so the decoded bytes and every
-  // ledger charge of the read are bit-equal at any pool width.
+  // The warp path prices its kernel in chunk order, whatever thread ran
+  // the body, so the decoded bytes and every ledger charge of the read
+  // are bit-equal at any pool width.
   const ByteVector Data = makeStream(2 << 20);
   struct Run {
     ByteVector Bytes;
