@@ -4,8 +4,8 @@
 /// google-benchmark micro-kernels for the functional substrates: SHA-1
 /// fingerprinting and CRC-32C (the dispatched path beside the scalar
 /// oracle), both LZ matchers, the LZ decoder, GPU lane compression +
-/// refinement, the warp decode kernel body, bin-index probes and the
-/// chunkers. These measure *host* wall time of
+/// refinement, the warp decode kernel body, bin-index probes, the
+/// chunkers and one fork-join of the host pool. These measure *host* wall time of
 /// the functional code (not modelled time) — useful for keeping the
 /// simulation itself fast and for profiling regressions.
 ///
@@ -21,9 +21,12 @@
 #include "hash/Sha1.h"
 #include "index/DedupIndex.h"
 #include "util/Random.h"
+#include "util/ThreadPool.h"
 #include "workload/VdbenchStream.h"
 
 #include <benchmark/benchmark.h>
+
+#include <array>
 
 using namespace padre;
 
@@ -176,6 +179,27 @@ void BM_IndexBatch(benchmark::State &State) {
                           static_cast<std::int64_t>(Fps.size()));
 }
 BENCHMARK(BM_IndexBatch)->Arg(1)->Arg(4);
+
+// One write batch's fork-join with no work in it: 16 items with a
+// trivial body on a pool of the given width, so the time is the pool's
+// publish, claim and join. Real time, since the caller waits on others.
+void BM_ParallelForSlices(benchmark::State &State) {
+  ThreadPool Pool(static_cast<unsigned>(State.range(0)));
+  std::array<std::uint64_t, 16> Items{};
+  for (auto _ : State) {
+    Pool.parallelForSlices(0, Items.size(),
+                           [&Items](std::size_t Begin, std::size_t End,
+                                    unsigned) {
+                             for (std::size_t I = Begin; I < End; ++I)
+                               Items[I] += I;
+                           });
+    benchmark::DoNotOptimize(Items.data());
+    benchmark::ClobberMemory();
+  }
+  State.SetItemsProcessed(static_cast<std::int64_t>(State.iterations()) *
+                          static_cast<std::int64_t>(Items.size()));
+}
+BENCHMARK(BM_ParallelForSlices)->Arg(1)->Arg(4)->Arg(8)->UseRealTime();
 
 void BM_Chunker(benchmark::State &State) {
   const ByteVector Data = makeData(1 << 20, 2.0);

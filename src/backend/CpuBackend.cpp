@@ -53,71 +53,66 @@ void CpuBackend::executeSlice(
   // call is exactly this slice's charge.
   const double CpuBeforeUs = Ledger.busyMicros(Resource::CpuPool);
   // One codec call per chunk, chunk-parallel across the pool.
-  Pool.parallelForSlices(
-      Begin, End,
-      [&](std::size_t SliceBegin, std::size_t SliceEnd, unsigned) {
-        double Micros = 0.0;
-        std::uint64_t Raw = 0;
-        for (std::size_t I = SliceBegin; I < SliceEnd; ++I) {
-          const ByteSpan Data = Chunks[I].Data;
-          const bool Framed = Config.SubBlocks > 1 && !Data.empty();
-          CompressResult Result;
-          if (Framed) {
-            FramedCompressResult FramedResult =
-                Codec.compressFramed(Data, Config.SubBlocks);
-            Result.Payload = std::move(FramedResult.Payload);
-            Result.Stats = FramedResult.Stats;
-          } else {
-            Result = Codec.compress(Data);
-          }
-          const double CompressUs = Model.cpuCompressUs(
-              Result.Stats.LiteralBytes, Result.Stats.MatchBytes);
-          Micros += CompressUs;
-          CompressedChunk &Chunk = Out[I];
-          Chunk.LatencyUs = CompressUs;
-          Chunk.Stats = Result.Stats;
-          if (Result.Payload.size() >= Data.size()) {
-            Chunk.StoredRaw = true;
-            ++Raw;
-            Chunk.Block = encodeBlock(
-                BlockMethod::Raw, static_cast<std::uint32_t>(Data.size()),
-                Data);
-            continue;
-          }
-          if (Framed) {
-            Chunk.Block = encodeBlock(
-                BlockMethod::LzFramed,
-                static_cast<std::uint32_t>(Data.size()),
-                ByteSpan(Result.Payload.data(), Result.Payload.size()));
-            continue;
-          }
-          // Optional entropy stage over the token stream.
-          if (Config.EntropyStage) {
-            const double HuffUs = Model.Cpu.HuffmanPerByteNs * 1e-3 *
-                                  static_cast<double>(Result.Payload.size());
-            Micros += HuffUs;
-            Chunk.LatencyUs += HuffUs;
-            if (auto Entropy = entropyEncodeTokens(ByteSpan(
-                    Result.Payload.data(), Result.Payload.size()))) {
-              Chunk.Block = encodeBlock(
-                  BlockMethod::LzHuff,
-                  static_cast<std::uint32_t>(Data.size()),
-                  ByteSpan(Entropy->data(), Entropy->size()));
-              continue;
-            }
-          }
-          Chunk.Block = encodeBlock(
-              Config.CpuMatcher == LzCodec::MatcherKind::HashChain
-                  ? BlockMethod::Lz77
-                  : BlockMethod::QuickLz,
-              static_cast<std::uint32_t>(Data.size()),
-              ByteSpan(Result.Payload.data(), Result.Payload.size()));
-        }
-        Ledger.chargeMicros(Resource::CpuPool, Micros);
-        RawFallbacks.fetch_add(Raw, std::memory_order_relaxed);
-        if (RawFallbackCounter)
-          RawFallbackCounter->add(Raw);
-      });
+  Pool.parallelFor(Begin, End, [&](std::size_t I) {
+    const ByteSpan Data = Chunks[I].Data;
+    const bool Framed = Config.SubBlocks > 1 && !Data.empty();
+    CompressResult Result;
+    if (Framed) {
+      FramedCompressResult FramedResult =
+          Codec.compressFramed(Data, Config.SubBlocks);
+      Result.Payload = std::move(FramedResult.Payload);
+      Result.Stats = FramedResult.Stats;
+    } else {
+      Result = Codec.compress(Data);
+    }
+    CompressedChunk &Chunk = Out[I];
+    Chunk.LatencyUs =
+        Model.cpuCompressUs(Result.Stats.LiteralBytes, Result.Stats.MatchBytes);
+    Chunk.Stats = Result.Stats;
+    if (Result.Payload.size() >= Data.size()) {
+      Chunk.StoredRaw = true;
+      Chunk.Block = encodeBlock(BlockMethod::Raw,
+                                static_cast<std::uint32_t>(Data.size()), Data);
+      return;
+    }
+    if (Framed) {
+      Chunk.Block = encodeBlock(
+          BlockMethod::LzFramed, static_cast<std::uint32_t>(Data.size()),
+          ByteSpan(Result.Payload.data(), Result.Payload.size()));
+      return;
+    }
+    // Optional entropy stage over the token stream.
+    if (Config.EntropyStage) {
+      Chunk.LatencyUs += Model.Cpu.HuffmanPerByteNs * 1e-3 *
+                         static_cast<double>(Result.Payload.size());
+      if (auto Entropy = entropyEncodeTokens(
+              ByteSpan(Result.Payload.data(), Result.Payload.size()))) {
+        Chunk.Block = encodeBlock(BlockMethod::LzHuff,
+                                  static_cast<std::uint32_t>(Data.size()),
+                                  ByteSpan(Entropy->data(), Entropy->size()));
+        return;
+      }
+    }
+    Chunk.Block = encodeBlock(
+        Config.CpuMatcher == LzCodec::MatcherKind::HashChain
+            ? BlockMethod::Lz77
+            : BlockMethod::QuickLz,
+        static_cast<std::uint32_t>(Data.size()),
+        ByteSpan(Result.Payload.data(), Result.Payload.size()));
+  });
+
+  // A chunk's modelled CPU time is its latency; book them as the
+  // modelled pool slices the range.
+  ItemUs.resize(End - Begin);
+  std::uint64_t Raw = 0;
+  for (std::size_t I = Begin; I < End; ++I) {
+    ItemUs[I - Begin] = Out[I].LatencyUs;
+    Raw += Out[I].StoredRaw;
+  }
+  Ledger.chargeSliced(Resource::CpuPool, ItemUs, Model.Cpu.Threads);
+  RawFallbacks += Raw;
+  if (RawFallbackCounter)
+    RawFallbackCounter->add(Raw);
   BatchScheduler::CompressSlice Slice;
   Slice.CpuUs = Ledger.busyMicros(Resource::CpuPool) - CpuBeforeUs;
   Slices.push_back(std::move(Slice));

@@ -17,7 +17,6 @@
 #include "obs/Obs.h"
 #include "util/ThreadPool.h"
 
-#include <atomic>
 
 namespace padre {
 namespace backend {
@@ -37,9 +36,7 @@ public:
                     std::size_t End, std::vector<CompressedChunk> &Out,
                     std::vector<BatchScheduler::CompressSlice> &Slices,
                     bool Pipelined) override;
-  std::uint64_t rawFallbacks() const override {
-    return RawFallbacks.load();
-  }
+  std::uint64_t rawFallbacks() const override { return RawFallbacks; }
 
 private:
   CostModel Model;
@@ -48,8 +45,9 @@ private:
   CompressEngineConfig Config;
   LzCodec Codec;
   BackendCaps Caps;
-  std::atomic<std::uint64_t> RawFallbacks{0};
+  std::uint64_t RawFallbacks = 0;
   obs::Counter *RawFallbackCounter = nullptr; ///< null = disabled
+  std::vector<double> ItemUs; ///< per-chunk µs of the current slice
 };
 
 } // namespace backend

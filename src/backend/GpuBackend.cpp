@@ -230,37 +230,35 @@ void GpuBackend::compressSubBatch(Unit &U, std::span<const ChunkView> Chunks,
 
   // CPU post-processing across the pool (§3.2(2)-(3): "the GPU
   // performs compression and the CPU is used for refinement"), charged
-  // over the lane streams the device returned. The entropy stage never
-  // runs here: every block is LzFramed or Raw, and a Huffman wrap
+  // over the lane streams the device returned and booked after the
+  // join as the modelled pool slices the sub-batch. The entropy stage
+  // never runs here: every block is LzFramed or Raw, and a Huffman wrap
   // would hide the frame (the CPU backend's rule).
-  Pool.parallelForSlices(
-      Begin, End,
-      [&](std::size_t SliceBegin, std::size_t SliceEnd, unsigned) {
-        double Micros = 0.0;
-        std::uint64_t Raw = 0;
-        for (std::size_t I = SliceBegin; I < SliceEnd; ++I) {
-          const ByteSpan Data = Chunks[I].Data;
-          LaneOutputs &Lanes = DeviceResults[I - Begin];
-          if (!OnDevice)
-            Lanes = LaneCompressor.runLanes(Data);
-          RefinedChunk Refined = GpuLaneCompressor::refine(Lanes, Data);
-          const double Us =
-              OnDevice ? Model.cpuPostprocessUs(Lanes.totalPayloadBytes(),
-                                                Refined.StoredRaw)
-                       : Model.cpuCompressUs(Refined.Stats.LiteralBytes,
-                                             Refined.Stats.MatchBytes);
-          Micros += Us;
-          Raw += Refined.StoredRaw;
-          Out[I].Block = std::move(Refined.Block);
-          Out[I].Stats = Refined.Stats;
-          Out[I].StoredRaw = Refined.StoredRaw;
-          Out[I].LatencyUs = RoundTripUs + Us;
-        }
-        Ledger.chargeMicros(Resource::CpuPool, Micros);
-        RawFallbacks.fetch_add(Raw, std::memory_order_relaxed);
-        if (RawFallbackCounter)
-          RawFallbackCounter->add(Raw);
-      });
+  RefineUs.resize(End - Begin);
+  Pool.parallelFor(Begin, End, [&](std::size_t I) {
+    const ByteSpan Data = Chunks[I].Data;
+    LaneOutputs &Lanes = DeviceResults[I - Begin];
+    if (!OnDevice)
+      Lanes = LaneCompressor.runLanes(Data);
+    RefinedChunk Refined = GpuLaneCompressor::refine(Lanes, Data);
+    const double Us =
+        OnDevice ? Model.cpuPostprocessUs(Lanes.totalPayloadBytes(),
+                                          Refined.StoredRaw)
+                 : Model.cpuCompressUs(Refined.Stats.LiteralBytes,
+                                       Refined.Stats.MatchBytes);
+    RefineUs[I - Begin] = Us;
+    Out[I].Block = std::move(Refined.Block);
+    Out[I].Stats = Refined.Stats;
+    Out[I].StoredRaw = Refined.StoredRaw;
+    Out[I].LatencyUs = RoundTripUs + Us;
+  });
+  Ledger.chargeSliced(Resource::CpuPool, RefineUs, Model.Cpu.Threads);
+  std::uint64_t Raw = 0;
+  for (std::size_t I = Begin; I < End; ++I)
+    Raw += Out[I].StoredRaw;
+  RawFallbacks += Raw;
+  if (RawFallbackCounter)
+    RawFallbackCounter->add(Raw);
 }
 
 void GpuBackend::resetTimelineState() {

@@ -34,7 +34,6 @@
 #include "obs/Obs.h"
 #include "util/ThreadPool.h"
 
-#include <atomic>
 #include <memory>
 
 namespace padre {
@@ -64,9 +63,7 @@ public:
                     std::size_t End, std::vector<CompressedChunk> &Out,
                     std::vector<BatchScheduler::CompressSlice> &Slices,
                     bool Pipelined) override;
-  std::uint64_t rawFallbacks() const override {
-    return RawFallbacks.load();
-  }
+  std::uint64_t rawFallbacks() const override { return RawFallbacks; }
   std::uint64_t deviceFallbacks() const override { return DeviceFallbacks; }
   void resetTimelineState() override;
 
@@ -107,8 +104,10 @@ private:
   std::vector<Unit> Units;
   /// Per-sub-batch device results, reused across calls.
   std::vector<LaneOutputs> DeviceResults;
+  /// Per-chunk refinement µs of the current sub-batch.
+  std::vector<double> RefineUs;
   BackendCaps Caps;
-  std::atomic<std::uint64_t> RawFallbacks{0};
+  std::uint64_t RawFallbacks = 0;
   std::uint64_t DeviceFallbacks = 0;
   // Observability (null = disabled), cached at construction.
   obs::Counter *RawFallbackCounter = nullptr;

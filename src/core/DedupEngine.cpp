@@ -111,21 +111,17 @@ fault::Status DedupEngine::processBatch(
 
   // CPU hashing for everything the GPU did not take: "there is no
   // data dependency between chunks … in the hashing phase", so the
-  // batch splits into independent slices across the pool.
-  Pool.parallelForSlices(
-      0, Count,
-      [&](std::size_t Begin, std::size_t End, unsigned) {
-        double Micros = 0.0;
-        for (std::size_t I = Begin; I < End; ++I) {
-          if (IsSelected[I])
-            continue;
-          Fingerprints[I] = Fingerprint::ofData(Chunks[I].Data);
-          const double HashUs = Model.cpuHashUs(Chunks[I].Data.size());
-          LatencyUs[I] += HashUs;
-          Micros += HashUs;
-        }
-        Ledger.chargeMicros(Resource::CpuPool, Micros);
-      });
+  // batch splits into independent slices across the pool. The price is
+  // booked after the join, sliced as the modelled pool runs it.
+  std::span<double> HashUs = BatchArena.allocateFilled<double>(Count, 0.0);
+  Pool.parallelFor(0, Count, [&](std::size_t I) {
+    if (IsSelected[I])
+      return;
+    Fingerprints[I] = Fingerprint::ofData(Chunks[I].Data);
+    HashUs[I] = Model.cpuHashUs(Chunks[I].Data.size());
+    LatencyUs[I] += HashUs[I];
+  });
+  Ledger.chargeSliced(Resource::CpuPool, HashUs, Model.Cpu.Threads);
 
   // CPU bin-parallel indexing.
   std::span<LookupResult> Results =

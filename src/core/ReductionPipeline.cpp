@@ -19,8 +19,9 @@ using namespace padre;
 ReductionPipeline::~ReductionPipeline() = default;
 
 ReductionPipeline::ReductionPipeline(const Platform &Platform,
-                                     const PipelineConfig &Config)
-    : Plat(Platform), Config(Config), Pool(Platform.Model.Cpu.Threads),
+                                     const PipelineConfig &Config,
+                                     unsigned HostWidth)
+    : Plat(Platform), Config(Config), Pool(HostWidth),
       Ssd(Platform.Model, Ledger) {
   assert(isValidCostModel(Platform.Model) && "Invalid cost model");
 

@@ -154,7 +154,11 @@ enum class ScrubOutcome { Healthy, Repaired, Lost };
 /// The inline reduction pipeline for one storage volume.
 class ReductionPipeline {
 public:
-  ReductionPipeline(const Platform &Platform, const PipelineConfig &Config);
+  /// The host pool is \p HostWidth threads wide, or as wide as the host
+  /// when zero. Modelled figures do not depend on it (charges slice by
+  /// `Cpu.Threads`); width-invariance tests pin it to check that.
+  ReductionPipeline(const Platform &Platform, const PipelineConfig &Config,
+                    unsigned HostWidth = 0);
   ~ReductionPipeline();
 
   /// Ingests a write stream (any multiple of calls). The stream is

@@ -423,29 +423,26 @@ void ReadPipeline::decodeCpu(const std::vector<BatchItem *> &Items) {
   if (CpuBatchesTotal)
     CpuBatchesTotal->add(1);
   // Chunk-parallel across the pool, the read-side mirror of
-  // CpuBackend::executeSlice: each slice decodes its chunks
-  // functionally and charges its accumulated modelled time once.
-  Pipe.pool().parallelForSlices(
-      0, Items.size(), [&](std::size_t Begin, std::size_t End, unsigned) {
-        double Micros = 0.0;
-        for (std::size_t I = Begin; I < End; ++I) {
-          BatchItem &Item = *Items[I];
-          const double Us = Model.cpuDecodeUs(
-              Item.OriginalSize, Item.Method == BlockMethod::Raw,
-              Item.Method == BlockMethod::LzHuff ? Item.Payload.size() : 0);
-          Micros += Us;
-          Item.DecodeUs += Us;
-          const BlockView View{Item.Method, Item.OriginalSize,
-                               Item.Payload};
-          Item.Decoded.clear();
-          Item.Decoded.reserve(Item.OriginalSize);
-          if (!decodeChunkPayload(View, Item.Decoded)) {
-            Item.Failed = true;
-            Item.Error = fault::ErrorCode::DecodeError;
-          }
-        }
-        Pipe.ledger().chargeMicros(Resource::CpuPool, Micros);
-      });
+  // CpuBackend::executeSlice: each chunk decodes functionally, and the
+  // modelled time is booked after the join, sliced as the modelled
+  // pool runs it.
+  std::span<double> DecodeUs =
+      BatchArena.allocateFilled<double>(Items.size(), 0.0);
+  Pipe.pool().parallelFor(0, Items.size(), [&](std::size_t I) {
+    BatchItem &Item = *Items[I];
+    DecodeUs[I] = Model.cpuDecodeUs(
+        Item.OriginalSize, Item.Method == BlockMethod::Raw,
+        Item.Method == BlockMethod::LzHuff ? Item.Payload.size() : 0);
+    Item.DecodeUs += DecodeUs[I];
+    const BlockView View{Item.Method, Item.OriginalSize, Item.Payload};
+    Item.Decoded.clear();
+    Item.Decoded.reserve(Item.OriginalSize);
+    if (!decodeChunkPayload(View, Item.Decoded)) {
+      Item.Failed = true;
+      Item.Error = fault::ErrorCode::DecodeError;
+    }
+  });
+  Pipe.ledger().chargeSliced(Resource::CpuPool, DecodeUs, Model.Cpu.Threads);
 }
 
 void ReadPipeline::decodeWarp(const std::vector<BatchItem *> &Items) {

@@ -7,6 +7,7 @@
 
 #include "sim/ResourceLedger.h"
 
+#include <algorithm>
 #include <cassert>
 #include <cmath>
 #include <cstdio>
@@ -164,6 +165,22 @@ void ResourceLedger::chargeMicros(Resource R, double Micros) {
   const auto Nanos = static_cast<std::uint64_t>(Micros * 1e3 + 0.5);
   BusyNanos[static_cast<unsigned>(R)].fetch_add(Nanos,
                                                 std::memory_order_relaxed);
+}
+
+void ResourceLedger::chargeSliced(Resource R, std::span<const double> ItemUs,
+                                  unsigned ModelThreads) {
+  const std::size_t Count = ItemUs.size();
+  if (Count == 0)
+    return;
+  const std::size_t Slices =
+      std::min<std::size_t>(std::max(1u, ModelThreads), Count);
+  const std::size_t PerSlice = (Count + Slices - 1) / Slices;
+  for (std::size_t Begin = 0; Begin < Count; Begin += PerSlice) {
+    double Micros = 0.0;
+    for (std::size_t I = Begin; I < std::min(Count, Begin + PerSlice); ++I)
+      Micros += ItemUs[I];
+    chargeMicros(R, Micros);
+  }
 }
 
 double ResourceLedger::busySeconds(Resource R) const {

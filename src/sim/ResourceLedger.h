@@ -25,6 +25,7 @@
 #include <atomic>
 #include <cstdint>
 #include <mutex>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -90,6 +91,14 @@ public:
   /// Adds \p Micros microseconds of busy time to \p R. Negative or
   /// non-finite charges are invalid.
   void chargeMicros(Resource R, double Micros);
+
+  /// Charges per-item costs \p ItemUs to \p R as the modelled pool of
+  /// \p ModelThreads threads would book them: ceil(n / min(T, n)) items
+  /// per slice, each slice summed in item order and charged once. The
+  /// total depends on the items and T only, never on the host pool that
+  /// ran the work.
+  void chargeSliced(Resource R, std::span<const double> ItemUs,
+                    unsigned ModelThreads);
 
   /// Accumulated busy time of \p R in seconds.
   double busySeconds(Resource R) const;

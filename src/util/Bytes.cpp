@@ -8,40 +8,8 @@
 #include "util/Bytes.h"
 
 #include <cstdio>
-#include <cstring>
 
 using namespace padre;
-
-std::uint16_t padre::loadLe16(const std::uint8_t *Data) {
-  return static_cast<std::uint16_t>(Data[0] | (Data[1] << 8));
-}
-
-std::uint32_t padre::loadLe32(const std::uint8_t *Data) {
-  return static_cast<std::uint32_t>(Data[0]) |
-         (static_cast<std::uint32_t>(Data[1]) << 8) |
-         (static_cast<std::uint32_t>(Data[2]) << 16) |
-         (static_cast<std::uint32_t>(Data[3]) << 24);
-}
-
-std::uint64_t padre::loadLe64(const std::uint8_t *Data) {
-  return static_cast<std::uint64_t>(loadLe32(Data)) |
-         (static_cast<std::uint64_t>(loadLe32(Data + 4)) << 32);
-}
-
-void padre::storeLe16(std::uint8_t *Data, std::uint16_t Value) {
-  Data[0] = static_cast<std::uint8_t>(Value);
-  Data[1] = static_cast<std::uint8_t>(Value >> 8);
-}
-
-void padre::storeLe32(std::uint8_t *Data, std::uint32_t Value) {
-  for (unsigned I = 0; I < 4; ++I)
-    Data[I] = static_cast<std::uint8_t>(Value >> (8 * I));
-}
-
-void padre::storeLe64(std::uint8_t *Data, std::uint64_t Value) {
-  for (unsigned I = 0; I < 8; ++I)
-    Data[I] = static_cast<std::uint8_t>(Value >> (8 * I));
-}
 
 std::string padre::toHex(ByteSpan Bytes) {
   static const char Digits[] = "0123456789abcdef";

@@ -26,15 +26,38 @@ using MutableByteSpan = std::span<std::uint8_t>;
 /// Owning byte buffer.
 using ByteVector = std::vector<std::uint8_t>;
 
+// The little-endian helpers are inline: the frame and block headers on
+// the read path load a dozen or more fields per chunk, and the compiler
+// folds each byte-wise expression into one unaligned load or store.
+
 /// Reads a little-endian 16/32/64-bit value from \p Data.
-std::uint16_t loadLe16(const std::uint8_t *Data);
-std::uint32_t loadLe32(const std::uint8_t *Data);
-std::uint64_t loadLe64(const std::uint8_t *Data);
+inline std::uint16_t loadLe16(const std::uint8_t *Data) {
+  return static_cast<std::uint16_t>(Data[0] | (Data[1] << 8));
+}
+inline std::uint32_t loadLe32(const std::uint8_t *Data) {
+  return static_cast<std::uint32_t>(Data[0]) |
+         (static_cast<std::uint32_t>(Data[1]) << 8) |
+         (static_cast<std::uint32_t>(Data[2]) << 16) |
+         (static_cast<std::uint32_t>(Data[3]) << 24);
+}
+inline std::uint64_t loadLe64(const std::uint8_t *Data) {
+  return static_cast<std::uint64_t>(loadLe32(Data)) |
+         (static_cast<std::uint64_t>(loadLe32(Data + 4)) << 32);
+}
 
 /// Writes a little-endian 16/32/64-bit value to \p Data.
-void storeLe16(std::uint8_t *Data, std::uint16_t Value);
-void storeLe32(std::uint8_t *Data, std::uint32_t Value);
-void storeLe64(std::uint8_t *Data, std::uint64_t Value);
+inline void storeLe16(std::uint8_t *Data, std::uint16_t Value) {
+  Data[0] = static_cast<std::uint8_t>(Value);
+  Data[1] = static_cast<std::uint8_t>(Value >> 8);
+}
+inline void storeLe32(std::uint8_t *Data, std::uint32_t Value) {
+  for (unsigned I = 0; I < 4; ++I)
+    Data[I] = static_cast<std::uint8_t>(Value >> (8 * I));
+}
+inline void storeLe64(std::uint8_t *Data, std::uint64_t Value) {
+  for (unsigned I = 0; I < 8; ++I)
+    Data[I] = static_cast<std::uint8_t>(Value >> (8 * I));
+}
 
 /// Lowercase hex rendering of \p Bytes ("deadbeef…").
 std::string toHex(ByteSpan Bytes);

@@ -466,7 +466,7 @@ KernelRun compressOnPool(unsigned Workers, const ByteVector &Data) {
 TEST(BackendPoolWidth, GpuLaneKernelIdenticalOnOneAndEightWorkers) {
   // Three sub-batches of lane kernels. The kernel time is summed in
   // chunk order whatever the pool width, so blocks, per-chunk
-  // latencies, device ops and the GPU/PCIe charges are bit-equal.
+  // latencies, device ops and every ledger charge are bit-equal.
   const ByteVector Data = makeStream(3ull << 20);
   const KernelRun One = compressOnPool(1, Data);
   const KernelRun Eight = compressOnPool(8, Data);
@@ -491,12 +491,10 @@ TEST(BackendPoolWidth, GpuLaneKernelIdenticalOnOneAndEightWorkers) {
             Eight.BusyUs[static_cast<unsigned>(Resource::Gpu)]);
   EXPECT_EQ(One.BusyUs[static_cast<unsigned>(Resource::Pcie)],
             Eight.BusyUs[static_cast<unsigned>(Resource::Pcie)]);
-  // The CPU refinement pass (parallel before the kernel body was) books
-  // one whole-nanosecond charge per pool slice, so its total may differ
-  // by up to one rounding step per slice: 3 sub-batches x 8 slices.
-  EXPECT_NEAR(One.BusyUs[static_cast<unsigned>(Resource::CpuPool)],
-              Eight.BusyUs[static_cast<unsigned>(Resource::CpuPool)],
-              3 * 8 * 1e-3);
+  // The CPU refinement pass books its per-chunk costs sliced by the
+  // modelled Cpu.Threads, not by the host pool, so it is bit-equal too.
+  EXPECT_EQ(One.BusyUs[static_cast<unsigned>(Resource::CpuPool)],
+            Eight.BusyUs[static_cast<unsigned>(Resource::CpuPool)]);
 }
 
 //===----------------------------------------------------------------------===//

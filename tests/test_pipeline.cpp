@@ -495,3 +495,130 @@ TEST(ArenaHotpath, RecipeStableAcrossArenaReuse) {
   Pipeline.finish();
   EXPECT_TRUE(Pipeline.verifyAgainst(ByteSpan(Data.data(), Data.size())));
 }
+
+//===----------------------------------------------------------------------===//
+// Host pool width: modelled figures do not depend on it
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+/// Every modelled figure of one write-then-read run, by name.
+using Figures = std::vector<std::pair<std::string, double>>;
+
+void addPipelineReport(Figures &Out, const PipelineReport &R) {
+  const std::pair<const char *, double> Fields[] = {
+      {"LogicalBytes", static_cast<double>(R.LogicalBytes)},
+      {"LogicalChunks", static_cast<double>(R.LogicalChunks)},
+      {"UniqueChunks", static_cast<double>(R.UniqueChunks)},
+      {"DupChunks", static_cast<double>(R.DupChunks)},
+      {"DupFromBuffer", static_cast<double>(R.DupFromBuffer)},
+      {"DupFromTree", static_cast<double>(R.DupFromTree)},
+      {"DupFromGpu", static_cast<double>(R.DupFromGpu)},
+      {"VerifyMismatches", static_cast<double>(R.VerifyMismatches)},
+      {"DedupRatio", R.DedupRatio},
+      {"StoredBytes", static_cast<double>(R.StoredBytes)},
+      {"RawFallbacks", static_cast<double>(R.RawFallbacks)},
+      {"CompressRatio", R.CompressRatio},
+      {"ReductionRatio", R.ReductionRatio},
+      {"MakespanSec", R.MakespanSec},
+      {"ThroughputIops", R.ThroughputIops},
+      {"ThroughputMBps", R.ThroughputMBps},
+      {"Bottleneck", static_cast<double>(R.Bottleneck)},
+      {"CpuBusySec", R.CpuBusySec},
+      {"GpuBusySec", R.GpuBusySec},
+      {"PcieBusySec", R.PcieBusySec},
+      {"SsdBusySec", R.SsdBusySec},
+      {"KernelLaunches", static_cast<double>(R.KernelLaunches)},
+      {"OffloadFraction", R.OffloadFraction},
+      {"LatencyP50Us", R.LatencyP50Us},
+      {"LatencyP95Us", R.LatencyP95Us},
+      {"LatencyP99Us", R.LatencyP99Us},
+      {"SsdHostBytes", static_cast<double>(R.SsdHostBytes)},
+      {"SsdNandBytes", static_cast<double>(R.SsdNandBytes)},
+      {"WallSec", R.WallSec},
+      {"WallThroughputMBps", R.WallThroughputMBps},
+      {"WallThroughputIops", R.WallThroughputIops},
+  };
+  for (const auto &[Name, Value] : Fields)
+    Out.emplace_back(std::string("write.") + Name, Value);
+  for (unsigned L = 0; L < ResourceCount; ++L) {
+    const std::string Lane = resourceName(static_cast<Resource>(L));
+    Out.emplace_back("write.SchedBusySec." + Lane, R.SchedBusySec[L]);
+    Out.emplace_back("write.SchedHiddenSec." + Lane, R.SchedHiddenSec[L]);
+  }
+}
+
+void addReadReport(Figures &Out, const restore::ReadReport &R) {
+  const std::pair<const char *, double> Fields[] = {
+      {"ChunksRequested", static_cast<double>(R.ChunksRequested)},
+      {"BytesOut", static_cast<double>(R.BytesOut)},
+      {"SsdChunks", static_cast<double>(R.SsdChunks)},
+      {"EncodedBytesIn", static_cast<double>(R.EncodedBytesIn)},
+      {"CpuBatches", static_cast<double>(R.CpuBatches)},
+      {"FramedChunks", static_cast<double>(R.FramedChunks)},
+      {"MakespanSec", R.MakespanSec},
+      {"ThroughputMBps", R.ThroughputMBps},
+      {"CpuBusySec", R.CpuBusySec},
+      {"SsdBusySec", R.SsdBusySec},
+      {"LatencyP50Us", R.LatencyP50Us},
+      {"LatencyP95Us", R.LatencyP95Us},
+      {"LatencyP99Us", R.LatencyP99Us},
+  };
+  for (const auto &[Name, Value] : Fields)
+    Out.emplace_back(std::string("read.") + Name, Value);
+}
+
+/// Writes \p Data in 40 KiB pieces with content-defined chunks (uneven
+/// batches and fractional-nanosecond per-chunk costs, so a charge
+/// sliced by the host width would round differently), reads it back on
+/// the CPU decoder, and returns the write report, the read report and
+/// every ledger busy value.
+Figures runAtHostWidth(PipelineMode Mode, unsigned HostWidth,
+                       const ByteVector &Data) {
+  PipelineConfig Config = pipelineConfig(Mode);
+  Config.Chunking = ChunkingMode::FastCdc;
+  ReductionPipeline Pipeline(Platform::paper(), Config, HostWidth);
+  EXPECT_EQ(Pipeline.pool().size(), HostWidth);
+  for (std::size_t Offset = 0; Offset < Data.size(); Offset += 40 << 10)
+    EXPECT_TRUE(Pipeline
+                    .write(ByteSpan(Data.data() + Offset,
+                                    std::min<std::size_t>(40 << 10,
+                                                          Data.size() -
+                                                              Offset)))
+                    .ok());
+  EXPECT_TRUE(Pipeline.finish().ok());
+  Figures Out;
+  addPipelineReport(Out, Pipeline.report());
+  restore::ReadConfig ReadCfg;
+  ReadCfg.Mode = restore::DecodeMode::Cpu;
+  restore::ReadPipeline Reader(Pipeline, ReadCfg);
+  EXPECT_EQ(Reader.readStream(Pipeline.recipe()), Data);
+  addReadReport(Out, Reader.report());
+  for (unsigned L = 0; L < ResourceCount; ++L)
+    Out.emplace_back(std::string("ledger.") +
+                         resourceName(static_cast<Resource>(L)),
+                     Pipeline.ledger().busyMicros(static_cast<Resource>(L)));
+  return Out;
+}
+
+} // namespace
+
+TEST(PipelineHostWidth, ModelledFiguresIdenticalAtWidthsOneTwoFourEight) {
+  // Every site that prices pool work books per-item costs sliced by the
+  // modelled Cpu.Threads, so the host width changes no figure, not even
+  // by a nanosecond of rounding.
+  const ByteVector Data =
+      VdbenchStream(workload(1 << 20, 2.0, 2.0, /*Seed=*/7)).generateAll();
+  for (PipelineMode Mode : {PipelineMode::CpuOnly, PipelineMode::GpuCompress}) {
+    SCOPED_TRACE(pipelineModeName(Mode));
+    const Figures One = runAtHostWidth(Mode, 1, Data);
+    EXPECT_GT(One.size(), 40u);
+    for (unsigned Width : {2u, 4u, 8u}) {
+      SCOPED_TRACE("host width " + std::to_string(Width));
+      const Figures Other = runAtHostWidth(Mode, Width, Data);
+      ASSERT_EQ(One.size(), Other.size());
+      for (std::size_t I = 0; I < One.size(); ++I)
+        EXPECT_EQ(One[I], Other[I]);
+    }
+  }
+}

@@ -328,16 +328,13 @@ TEST(RestorePoolWidth, WarpDecodeIdenticalOnOneAndEightWorkers) {
     std::uint64_t WarpBatches = 0;
   };
   const auto readOn = [&Data](unsigned Workers) {
-    Platform Plat = Platform::paper();
-    Plat.Model.Cpu.Threads = Workers;
     PipelineConfig Config;
     Config.Compress.SubBlocks = 4;
-    ReductionPipeline Pipeline(Plat, Config);
+    ReductionPipeline Pipeline(Platform::paper(), Config, Workers);
     Pipeline.write(ByteSpan(Data.data(), Data.size()));
     Pipeline.finish();
     EXPECT_EQ(Pipeline.pool().size(), Workers);
-    // The write side's charges may round differently per pool width;
-    // start the read from a zeroed ledger.
+    // Start the read from a zeroed ledger so the figures are the read's.
     Pipeline.resetMeasurement();
     ReadConfig ReadCfg;
     ReadCfg.Mode = DecodeMode::WarpGpu;

@@ -16,10 +16,14 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cstring>
 #include <mutex>
 #include <numeric>
 #include <set>
+#include <stdexcept>
+#include <string>
+#include <thread>
 
 using namespace padre;
 
@@ -28,12 +32,23 @@ using namespace padre;
 //===----------------------------------------------------------------------===//
 
 TEST(ThreadPool, RunsEverySubmittedTask) {
+  // A hundred jobs of growing size, back to back: every item of every
+  // job runs once, and each job is complete when the call returns.
   ThreadPool Pool(4);
-  std::atomic<int> Counter{0};
-  for (int I = 0; I < 100; ++I)
-    Pool.submit([&Counter] { Counter.fetch_add(1); });
-  Pool.waitIdle();
-  EXPECT_EQ(Counter.load(), 100);
+  int Total = 0;
+  for (int Job = 1; Job <= 100; ++Job) {
+    std::atomic<int> Counter{0};
+    Pool.parallelFor(0, static_cast<std::size_t>(Job),
+                     [&Counter](std::size_t) { Counter.fetch_add(1); });
+    EXPECT_EQ(Counter.load(), Job);
+    Total += Counter.load();
+  }
+  EXPECT_EQ(Total, 5050);
+}
+
+TEST(ThreadPool, WidthZeroIsHostWidth) {
+  ThreadPool Pool;
+  EXPECT_EQ(Pool.size(), std::max(1u, std::thread::hardware_concurrency()));
 }
 
 TEST(ThreadPool, ParallelForCoversRangeExactlyOnce) {
@@ -53,43 +68,161 @@ TEST(ThreadPool, ParallelForEmptyRangeIsNoop) {
 }
 
 TEST(ThreadPool, SlicesAreDisjointAndComplete) {
-  ThreadPool Pool(3);
-  std::mutex Mutex;
-  std::vector<std::pair<std::size_t, std::size_t>> Slices;
-  Pool.parallelForSlices(10, 107,
-                         [&](std::size_t Begin, std::size_t End, unsigned) {
-                           std::lock_guard<std::mutex> Lock(Mutex);
-                           Slices.push_back({Begin, End});
-                         });
-  std::sort(Slices.begin(), Slices.end());
-  std::size_t Expected = 10;
-  for (const auto &[Begin, End] : Slices) {
-    EXPECT_EQ(Begin, Expected);
-    EXPECT_LT(Begin, End);
-    Expected = End;
+  // Every range size from 1 to 40 at widths 1-5: the slices tile the
+  // range exactly, each is non-empty, and all but the last hold
+  // ceil(n / min(width, n)) items.
+  for (unsigned Width = 1; Width <= 5; ++Width) {
+    ThreadPool Pool(Width);
+    for (std::size_t N = 1; N <= 40; ++N) {
+      SCOPED_TRACE("width " + std::to_string(Width) + " n " +
+                   std::to_string(N));
+      std::mutex Mutex;
+      std::vector<std::pair<std::size_t, std::size_t>> Slices;
+      Pool.parallelForSlices(10, 10 + N,
+                             [&](std::size_t Begin, std::size_t End,
+                                 unsigned) {
+                               std::lock_guard<std::mutex> Lock(Mutex);
+                               Slices.push_back({Begin, End});
+                             });
+      std::sort(Slices.begin(), Slices.end());
+      const std::size_t Per =
+          (N + std::min<std::size_t>(Width, N) - 1) /
+          std::min<std::size_t>(Width, N);
+      std::size_t Expected = 10;
+      for (const auto &[Begin, End] : Slices) {
+        EXPECT_EQ(Begin, Expected);
+        EXPECT_LT(Begin, End);
+        if (End != 10 + N) {
+          EXPECT_EQ(End - Begin, Per);
+        }
+        Expected = End;
+      }
+      EXPECT_EQ(Expected, 10 + N);
+      EXPECT_LE(Slices.size(), Width);
+    }
   }
-  EXPECT_EQ(Expected, 107u);
 }
 
 TEST(ThreadPool, SliceIndexIsBounded) {
-  ThreadPool Pool(4);
-  std::atomic<unsigned> MaxIndex{0};
-  Pool.parallelForSlices(0, 1000,
-                         [&](std::size_t, std::size_t, unsigned Index) {
-                           unsigned Current = MaxIndex.load();
-                           while (Index > Current &&
-                                  !MaxIndex.compare_exchange_weak(Current,
-                                                                  Index)) {
-                           }
-                         });
-  EXPECT_LT(MaxIndex.load(), Pool.size());
+  // Indices are distinct, below size(), and name the slice's position.
+  for (unsigned Width = 1; Width <= 5; ++Width) {
+    ThreadPool Pool(Width);
+    for (std::size_t N : {1u, 2u, 3u, 7u, 16u, 1000u}) {
+      SCOPED_TRACE("width " + std::to_string(Width) + " n " +
+                   std::to_string(N));
+      const std::size_t Per =
+          (N + std::min<std::size_t>(Width, N) - 1) /
+          std::min<std::size_t>(Width, N);
+      std::vector<std::atomic<int>> Seen(Width);
+      std::atomic<bool> Misplaced{false};
+      Pool.parallelForSlices(0, N,
+                             [&](std::size_t Begin, std::size_t,
+                                 unsigned Index) {
+                               if (Index >= Width || Begin != Index * Per) {
+                                 Misplaced = true;
+                                 return;
+                               }
+                               Seen[Index].fetch_add(1);
+                             });
+      EXPECT_FALSE(Misplaced.load());
+      for (const auto &Count : Seen)
+        EXPECT_LE(Count.load(), 1);
+    }
+  }
 }
 
 TEST(ThreadPool, SingleWorkerPoolStillCompletes) {
+  // Width 1 starts no worker: every slice runs on the caller.
   ThreadPool Pool(1);
+  EXPECT_EQ(Pool.size(), 1u);
   std::atomic<int> Counter{0};
-  Pool.parallelFor(0, 50, [&Counter](std::size_t) { Counter.fetch_add(1); });
+  std::atomic<bool> OffCaller{false};
+  const std::thread::id Caller = std::this_thread::get_id();
+  Pool.parallelFor(0, 50, [&](std::size_t) {
+    Counter.fetch_add(1);
+    if (std::this_thread::get_id() != Caller)
+      OffCaller = true;
+  });
   EXPECT_EQ(Counter.load(), 50);
+  EXPECT_FALSE(OffCaller.load());
+}
+
+TEST(ThreadPool, TenThousandBackToBackJobs) {
+  // One-item slices, each job tagged: a worker that arrives late from
+  // job J must neither run a slice of J + 1 on J's view nor leave one
+  // of J unfinished when the call returns.
+  ThreadPool Pool(4);
+  const std::size_t Items = 2 * Pool.size();
+  std::vector<std::atomic<int>> Owner(Items);
+  int Bad = 0;
+  for (int Job = 0; Job < 10000; ++Job) {
+    const std::size_t N = 1 + static_cast<std::size_t>(Job) % Items;
+    Pool.parallelFor(0, N, [&Owner, Job](std::size_t I) {
+      Owner[I].store(Job, std::memory_order_relaxed);
+    });
+    for (std::size_t I = 0; I < N; ++I)
+      Bad += Owner[I].load(std::memory_order_relaxed) != Job;
+  }
+  EXPECT_EQ(Bad, 0);
+}
+
+TEST(ThreadPool, CallerReturnsAfterEveryWorkerLeaves) {
+  // The caller's own slice holds until a worker has claimed one, and
+  // the worker's slice outlasts the caller's: the call must still wait
+  // for it.
+  ThreadPool Pool(4);
+  const std::thread::id Caller = std::this_thread::get_id();
+  for (int Round = 0; Round < 20; ++Round) {
+    std::atomic<int> Done{0};
+    std::atomic<bool> WorkerIn{false};
+    Pool.parallelFor(0, 4, [&](std::size_t) {
+      if (std::this_thread::get_id() == Caller) {
+        const auto Deadline =
+            std::chrono::steady_clock::now() + std::chrono::seconds(1);
+        while (!WorkerIn.load() && std::chrono::steady_clock::now() < Deadline)
+          std::this_thread::yield();
+      } else {
+        WorkerIn = true;
+        std::this_thread::sleep_for(std::chrono::milliseconds(2));
+      }
+      Done.fetch_add(1);
+    });
+    EXPECT_EQ(Done.load(), 4);
+  }
+}
+
+TEST(ThreadPool, ExceptionFromASliceReachesTheCaller) {
+  // Whichever runner throws, the call rethrows after every slice has
+  // run, and the pool takes the next job.
+  ThreadPool Pool(4);
+  for (std::size_t Thrower = 0; Thrower < 4; ++Thrower) {
+    std::atomic<int> Ran{0};
+    EXPECT_THROW(Pool.parallelFor(0, 4,
+                                  [&](std::size_t I) {
+                                    Ran.fetch_add(1);
+                                    if (I == Thrower)
+                                      throw std::runtime_error("slice");
+                                  }),
+                 std::runtime_error);
+    EXPECT_EQ(Ran.load(), 4);
+  }
+  std::atomic<int> Counter{0};
+  Pool.parallelFor(0, 8, [&Counter](std::size_t) { Counter.fetch_add(1); });
+  EXPECT_EQ(Counter.load(), 8);
+}
+
+TEST(ThreadPool, DestroyedRightAfterConstruction) {
+  // Workers may first run after the destructor's shutdown bump; none
+  // may miss it and hang the join.
+  for (int I = 0; I < 200; ++I) {
+    ThreadPool Pool(4);
+  }
+  for (int I = 0; I < 50; ++I) {
+    ThreadPool Pool(4);
+    std::atomic<int> Counter{0};
+    Pool.parallelFor(0, 4, [&Counter](std::size_t) { Counter.fetch_add(1); });
+    EXPECT_EQ(Counter.load(), 4);
+  }
 }
 
 //===----------------------------------------------------------------------===//

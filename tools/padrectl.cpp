@@ -48,7 +48,8 @@
 ///   --verify-dedup   byte-compare every digest match
 ///   --cache N        read-cache capacity in bytes (default off)
 ///   --chunking fixed|rabin|fastcdc   (run only; default fixed)
-///   --threads N      override the platform's CPU thread count (run)
+///   --threads N      the modelled CPU thread count of the platform
+///                    (run); the host pool stays as wide as the host
 ///   --seed N         workload seed               (default 42)
 ///   --image PATH     (volume) save/load the volume image here
 ///   --read-batch N   restore batch depth          (default 256)
@@ -175,7 +176,8 @@ void usage() {
       "  --bytes N  --dedup D  --comp C  --chunk N  --seed N\n"
       "  --entropy  --verify-dedup  --cache N  --chunking "
       "fixed|rabin|fastcdc\n"
-      "  --threads N  --image PATH  --trace FILE  --trace-ops N\n"
+      "  --threads N (modelled CPU threads)  --image PATH\n"
+      "  --trace FILE  --trace-ops N\n"
       "  --trace-out FILE.json  --metrics-out FILE.prom\n"
       "  --read-batch N  --read-mode cpu|warp|auto  --readahead N\n"
       "  --sub-blocks N       framed sub-blocks per chunk (warp decode)\n"
