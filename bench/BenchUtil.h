@@ -32,9 +32,7 @@ struct RunSpec {
   std::uint64_t Seed = 1234;
   unsigned BinBits = 8;
   std::size_t BufferCapacityPerBin = 8;
-  bool EntropyStage = false;
   std::size_t BatchChunks = 256;
-  unsigned ContentAlphabet = 256;
   /// In-flight write batches for the pipelined scheduler (E6).
   /// Depth 1 reproduces the serial stage chain exactly.
   std::size_t PipelineDepth = 4;
@@ -54,7 +52,6 @@ inline PipelineReport runSpec(const Platform &Plat, const RunSpec &Spec) {
   Config.CompressEnabled = Spec.CompressEnabled;
   Config.Dedup.Index.BinBits = Spec.BinBits;
   Config.Dedup.Index.BufferCapacityPerBin = Spec.BufferCapacityPerBin;
-  Config.Compress.EntropyStage = Spec.EntropyStage;
   Config.BatchChunks = Spec.BatchChunks;
   Config.PipelineDepth = Spec.PipelineDepth;
   Config.Trace = Spec.Trace;
@@ -66,7 +63,6 @@ inline PipelineReport runSpec(const Platform &Plat, const RunSpec &Spec) {
   Load.DedupRatio = Spec.DedupRatio;
   Load.CompressRatio = Spec.CompressRatio;
   Load.Seed = Spec.Seed;
-  Load.ContentAlphabet = Spec.ContentAlphabet;
   const VdbenchStream Stream(Load);
   const ByteVector Data = Stream.generateAll();
 

@@ -36,20 +36,13 @@ struct CompressEngineConfig {
   LzCodec::MatcherKind CpuMatcher = LzCodec::MatcherKind::SingleProbe;
   LzOptions CpuOptions;
   GpuLaneConfig Lanes;
-  /// Optional Huffman entropy stage over the LZ token stream
-  /// (extension): extra CPU cycles for extra ratio. Applied on the CPU
-  /// to unframed chunks only, so the GPU backend (which always frames)
-  /// never runs it.
-  bool EntropyStage = false;
   /// Sub-blocks per chunk for the v2 framed format (decode v2's
   /// compress-time half, see compress/SubBlockFrame.h). 1 emits the
   /// classic unframed payloads; >1 splits each chunk into that many
   /// independently-decodable sub-blocks (history reset at boundaries)
   /// so the warp-cooperative decoder can expand them in parallel — at
   /// a small measured ratio cost. CPU backend only: the GPU backend
-  /// frames one sub-block per lane (Lanes.Lanes). The entropy stage is
-  /// skipped for framed chunks (a Huffman wrap would hide the sub-block
-  /// boundaries the frame exists to expose).
+  /// frames one sub-block per lane (Lanes.Lanes).
   unsigned SubBlocks = 1;
 };
 

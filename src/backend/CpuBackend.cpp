@@ -8,7 +8,6 @@
 #include "backend/CpuBackend.h"
 
 #include "compress/Block.h"
-#include "compress/ChunkCodec.h"
 
 #include <cassert>
 
@@ -75,30 +74,14 @@ void CpuBackend::executeSlice(
                                 static_cast<std::uint32_t>(Data.size()), Data);
       return;
     }
-    if (Framed) {
-      Chunk.Block = encodeBlock(
-          BlockMethod::LzFramed, static_cast<std::uint32_t>(Data.size()),
-          ByteSpan(Result.Payload.data(), Result.Payload.size()));
-      return;
-    }
-    // Optional entropy stage over the token stream.
-    if (Config.EntropyStage) {
-      Chunk.LatencyUs += Model.Cpu.HuffmanPerByteNs * 1e-3 *
-                         static_cast<double>(Result.Payload.size());
-      if (auto Entropy = entropyEncodeTokens(
-              ByteSpan(Result.Payload.data(), Result.Payload.size()))) {
-        Chunk.Block = encodeBlock(BlockMethod::LzHuff,
-                                  static_cast<std::uint32_t>(Data.size()),
-                                  ByteSpan(Entropy->data(), Entropy->size()));
-        return;
-      }
-    }
-    Chunk.Block = encodeBlock(
-        Config.CpuMatcher == LzCodec::MatcherKind::HashChain
+    const BlockMethod Method =
+        Framed ? BlockMethod::LzFramed
+        : Config.CpuMatcher == LzCodec::MatcherKind::HashChain
             ? BlockMethod::Lz77
-            : BlockMethod::QuickLz,
-        static_cast<std::uint32_t>(Data.size()),
-        ByteSpan(Result.Payload.data(), Result.Payload.size()));
+            : BlockMethod::QuickLz;
+    Chunk.Block =
+        encodeBlock(Method, static_cast<std::uint32_t>(Data.size()),
+                    ByteSpan(Result.Payload.data(), Result.Payload.size()));
   });
 
   // A chunk's modelled CPU time is its latency; book them as the

@@ -23,8 +23,8 @@ namespace backend {
 
 class CpuBackend final : public ReductionBackend {
 public:
-  /// \p Config is the codec configuration (matcher, entropy stage,
-  /// sub-block framing). \p Obs sinks are optional.
+  /// \p Config is the codec configuration (matcher, sub-block
+  /// framing). \p Obs sinks are optional.
   CpuBackend(const CostModel &Model, ResourceLedger &Ledger,
              ThreadPool &Pool, const CompressEngineConfig &Config,
              const obs::ObsSinks &Obs = obs::ObsSinks());

@@ -70,7 +70,6 @@ GpuBackend::GpuBackend(const CostModel &Model, ResourceLedger &Ledger,
     }
     U.Owned = std::make_unique<GpuDevice>(Model, Ledger);
     U.Device = U.Owned.get();
-    U.Device->setDeviceIndex(K);
     U.Device->setMixedMode(Primary.mixedMode());
     U.Device->setObs(Obs);
     if (Faults)
@@ -231,9 +230,8 @@ void GpuBackend::compressSubBatch(Unit &U, std::span<const ChunkView> Chunks,
   // CPU post-processing across the pool (§3.2(2)-(3): "the GPU
   // performs compression and the CPU is used for refinement"), charged
   // over the lane streams the device returned and booked after the
-  // join as the modelled pool slices the sub-batch. The entropy stage
-  // never runs here: every block is LzFramed or Raw, and a Huffman wrap
-  // would hide the frame (the CPU backend's rule).
+  // join as the modelled pool slices the sub-batch. Every block is
+  // LzFramed or Raw.
   RefineUs.resize(End - Begin);
   Pool.parallelFor(Begin, End, [&](std::size_t I) {
     const ByteSpan Data = Chunks[I].Data;

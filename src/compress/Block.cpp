@@ -25,8 +25,8 @@ const char *padre::blockMethodName(BlockMethod Method) {
     return "quicklz";
   case BlockMethod::GpuLane:
     return "gpulane";
-  case BlockMethod::LzHuff:
-    return "lzhuff";
+  case BlockMethod::Retired:
+    return "retired";
   case BlockMethod::LzFramed:
     return "lzframed";
   }

@@ -15,6 +15,8 @@
 /// `Raw` blocks carry the input verbatim (the incompressible-data
 /// fallback); every LZ method shares one token-stream payload format
 /// (see compress/LzCodec.h) so a single decoder handles all of them.
+/// Method 4 is reserved (BlockMethod::Retired): it still parses, so a
+/// block holding it fails as a decode error rather than as corruption.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -34,11 +36,14 @@ enum class BlockMethod : std::uint8_t {
   Lz77 = 1,    ///< token stream from the hash-chain matcher
   QuickLz = 2, ///< token stream from the single-probe matcher
   GpuLane = 3, ///< legacy: unframed token stream from older GPU lanes
-  LzHuff = 4,  ///< [u32 token bytes][Huffman-coded token stream]
+  /// Reserved: the retired Huffman-coded LZ method. Never emitted;
+  /// decodeChunkPayload fails on it and a volume image holding one is
+  /// refused (StateMismatch). Kept so the other numbers stay stable.
+  Retired = 4,
   LzFramed = 5, ///< v2 sub-block frame (see compress/SubBlockFrame.h)
 };
 
-/// Returns "raw", "lz77", "quicklz", "gpulane", "lzhuff" or "lzframed".
+/// Returns "raw", "lz77", "quicklz", "gpulane", "retired" or "lzframed".
 const char *blockMethodName(BlockMethod Method);
 
 /// Size of the fixed block header in bytes.

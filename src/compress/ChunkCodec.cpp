@@ -7,7 +7,6 @@
 
 #include "compress/ChunkCodec.h"
 
-#include "compress/Huffman.h"
 #include "compress/LzCodec.h"
 #include "compress/SubBlockFrame.h"
 
@@ -24,16 +23,8 @@ bool padre::decodeChunkPayload(const BlockView &View, ByteVector &Out) {
   case BlockMethod::QuickLz:
   case BlockMethod::GpuLane:
     return LzCodec::decompress(View.Payload, View.OriginalSize, Out);
-  case BlockMethod::LzHuff: {
-    if (View.Payload.size() < 4)
-      return false;
-    const std::uint32_t TokenBytes = loadLe32(View.Payload.data());
-    ByteVector Tokens;
-    if (!huffmanDecode(View.Payload.subspan(4), TokenBytes, Tokens))
-      return false;
-    return LzCodec::decompress(ByteSpan(Tokens.data(), Tokens.size()),
-                               View.OriginalSize, Out);
-  }
+  case BlockMethod::Retired:
+    return false;
   case BlockMethod::LzFramed: {
     // The serial oracle for the v2 format: each sub-block is a
     // standalone LZ stream decoded in order. Any failure rolls the
@@ -54,16 +45,4 @@ bool padre::decodeChunkPayload(const BlockView &View, ByteVector &Out) {
   }
   assert(false && "Unknown block method");
   return false;
-}
-
-std::optional<ByteVector> padre::entropyEncodeTokens(ByteSpan Tokens) {
-  const auto Encoded = huffmanEncode(Tokens);
-  if (!Encoded)
-    return std::nullopt;
-  if (Encoded->size() + 4 >= Tokens.size())
-    return std::nullopt; // the u32 length prefix ate the gain
-  ByteVector Payload(4);
-  storeLe32(Payload.data(), static_cast<std::uint32_t>(Tokens.size()));
-  Payload.insert(Payload.end(), Encoded->begin(), Encoded->end());
-  return Payload;
 }

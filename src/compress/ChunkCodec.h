@@ -1,10 +1,8 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Method-dispatching chunk encode/decode helpers shared by the
-/// compression engine and the chunk store: one place that knows how
-/// every BlockMethod's payload maps back to chunk bytes, and how the
-/// optional Huffman entropy stage wraps an LZ token stream.
+/// Method-dispatching chunk decode: the one place that knows how every
+/// BlockMethod's payload maps back to chunk bytes.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -13,18 +11,12 @@
 
 #include "compress/Block.h"
 
-#include <optional>
-
 namespace padre {
 
-/// Decodes \p View (any method) into exactly `View.OriginalSize` chunk
-/// bytes appended to \p Out. Returns false on malformed payloads.
+/// Decodes \p View into exactly `View.OriginalSize` chunk bytes
+/// appended to \p Out. Returns false on malformed payloads and on the
+/// retired method (BlockMethod::Retired), leaving \p Out untouched.
 bool decodeChunkPayload(const BlockView &View, ByteVector &Out);
-
-/// Applies the entropy stage to an LZ token stream: returns the LzHuff
-/// payload (`[u32 token bytes][huffman bits]`) when it is smaller than
-/// the plain tokens, nullopt otherwise.
-std::optional<ByteVector> entropyEncodeTokens(ByteSpan Tokens);
 
 } // namespace padre
 

@@ -178,14 +178,6 @@ public:
   /// The device's staging-buffer timeline model (see GpuStagingModel).
   GpuStagingModel &staging() { return Staging; }
 
-  /// Identity among the host's modelled GPUs (0-based). Device 0 is
-  /// the pipeline's primary (its op chain replays on the Resource::Gpu
-  /// timeline lane); the multi-GPU backend numbers extra devices and
-  /// gives each its own aux timeline lanes. Charges always land on the
-  /// shared per-resource busy accumulators regardless of index.
-  void setDeviceIndex(unsigned Index) { DeviceIndex = Index; }
-  unsigned deviceIndex() const { return DeviceIndex; }
-
   /// Attaches a fault injector (null detaches; must outlive the
   /// device). Call before any traffic.
   void setFaultInjector(fault::FaultInjector *Injector) {
@@ -207,7 +199,6 @@ private:
   fault::FaultInjector *Faults = nullptr;
   std::vector<GpuOp> *OpLog = nullptr;
   GpuStagingModel Staging;
-  unsigned DeviceIndex = 0;
   std::atomic<std::uint64_t> MemoryUsed{0};
   std::atomic<bool> MixedMode{false};
   std::atomic<std::uint64_t> LaunchCounts[KernelFamilyCount];

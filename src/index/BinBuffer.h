@@ -62,8 +62,6 @@ public:
   /// Buffered entries across all bins.
   std::size_t totalEntries() const;
 
-  std::size_t capacityPerBin() const { return CapacityPerBin; }
-
 private:
   struct Slot {
     ByteVector Suffixes; ///< flat, SuffixBytes per entry, newest last

@@ -30,7 +30,6 @@ public:
   /// prefix example (65536 bins).
   explicit BinLayout(unsigned BinBits = 16);
 
-  unsigned binBits() const { return BinBits; }
   std::uint32_t binCount() const { return 1u << BinBits; }
 
   /// Bin id of \p Fp (its leading BinBits).

@@ -80,8 +80,6 @@ public:
   /// Device memory reserved by this table, in bytes.
   std::uint64_t deviceBytes() const { return DeviceBytes; }
 
-  std::size_t slotsPerBin() const { return SlotsPerBin; }
-
 private:
   std::size_t slotBase(std::uint32_t Bin) const {
     return static_cast<std::size_t>(Bin) * SlotsPerBin;

@@ -8,6 +8,7 @@
 
 #include "persist/VolumeImage.h"
 
+#include "compress/Block.h"
 #include "hash/Crc32.h"
 
 #include <cassert>
@@ -170,8 +171,13 @@ Status padre::decodeVolumeImage(ByteSpan Image, ReductionPipeline &Pipeline,
     ByteSpan Block;
     if (!Reader.readBytes(EncodedSize, Block))
       return Status::error(ErrorCode::ImageCorrupt);
-    if (!decodeBlock(Block))
+    const auto View = decodeBlock(Block);
+    if (!View)
       return Status::error(ErrorCode::ImageCorrupt, Record.Location);
+    // A well-formed block of the retired method: the image is intact,
+    // but this build can no longer decode it.
+    if (View->Method == BlockMethod::Retired)
+      return Status::error(ErrorCode::StateMismatch, Record.Location);
     if (!SeenLocations.insert(Record.Location).second)
       return Status::error(ErrorCode::ImageCorrupt, Record.Location);
     if (Pipeline.store().contains(Record.Location))

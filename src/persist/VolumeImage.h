@@ -66,7 +66,8 @@ fault::Status encodeVolumeImage(const Volume &Vol,
 /// and remains usable (e.g. for a retry with a repaired image).
 /// Errors: ImageCorrupt (CRC/bounds/decode/duplicate-location),
 /// StateMismatch (version, chunk size, geometry, occupied location,
-/// shared tracker).
+/// shared tracker, or a block of the retired method 4, whose location
+/// is the detail).
 fault::Status decodeVolumeImage(ByteSpan Image, ReductionPipeline &Pipeline,
                                 Volume &Vol);
 

@@ -430,9 +430,8 @@ void ReadPipeline::decodeCpu(const std::vector<BatchItem *> &Items) {
       BatchArena.allocateFilled<double>(Items.size(), 0.0);
   Pipe.pool().parallelFor(0, Items.size(), [&](std::size_t I) {
     BatchItem &Item = *Items[I];
-    DecodeUs[I] = Model.cpuDecodeUs(
-        Item.OriginalSize, Item.Method == BlockMethod::Raw,
-        Item.Method == BlockMethod::LzHuff ? Item.Payload.size() : 0);
+    DecodeUs[I] = Model.cpuDecodeUs(Item.OriginalSize,
+                                    Item.Method == BlockMethod::Raw);
     Item.DecodeUs += DecodeUs[I];
     const BlockView View{Item.Method, Item.OriginalSize, Item.Payload};
     Item.Decoded.clear();
@@ -593,7 +592,7 @@ ReadPipeline::ProbeResult ReadPipeline::probeMode() const {
   const double PayloadBytes = static_cast<double>(Probe.Payload.size());
 
   // CPU pool: chunk-parallel, bottlenecked by the pool itself.
-  Result.CpuUs = Depth * Model.cpuDecodeUs(ChunkSize, false, 0) / Threads;
+  Result.CpuUs = Depth * Model.cpuDecodeUs(ChunkSize, false) / Threads;
 
   // The framed format's measured ratio cost on the probe chunk (the
   // history reset + header overhead the two-level scheme trades for

@@ -25,8 +25,8 @@
 ///
 /// Every block the GPU-compress write modes store is framed (one lane
 /// per sub-block), as is every CPU-compressed chunk at SubBlocks > 1;
-/// unframed methods (QuickLz, Lz77, LzHuff, legacy GpuLane blocks in
-/// older images) decode on the CPU pool in every mode.
+/// unframed methods (QuickLz, Lz77, legacy GpuLane blocks in older
+/// images) decode on the CPU pool in every mode.
 /// DecodeMode::Auto picks CPU or warp with a calibrator-style probe
 /// (synthetic chunks, modelled costs only — nothing is charged to the
 /// ledger); the probe's makespans are published as

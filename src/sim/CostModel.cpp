@@ -25,8 +25,8 @@ bool isValidCostModel(const CostModel &Model) {
       Model.Cpu.LzSetupUs,         Model.Cpu.LzLiteralPerByteNs,
       Model.Cpu.LzMatchPerByteNs,  Model.Cpu.PostSetupUs,
       Model.Cpu.PostPerByteNs,     Model.Cpu.StoreRawPostUs,
-      Model.Cpu.DecompressPerByteNs, Model.Cpu.HuffmanPerByteNs,
-      Model.Cpu.VerifyPerByteNs,  Model.Cpu.CacheCopyPerByteNs,
+      Model.Cpu.DecompressPerByteNs, Model.Cpu.VerifyPerByteNs,
+      Model.Cpu.CacheCopyPerByteNs,
       Model.Cpu.DecompressSetupUs, Model.Cpu.FramePlanUs,
       Model.Gpu.LaunchUs,          Model.Gpu.HashPerByteNs,
       Model.Gpu.ProbePerEntryUs,   Model.Gpu.LaneSetupNs,

@@ -81,9 +81,6 @@ struct CpuCosts {
   /// compress-time framing is what makes it flat. Charged once per
   /// framed chunk.
   double FramePlanUs = 0.4;
-  /// Optional Huffman entropy stage (extension): per token byte
-  /// encoded or decoded (two passes + bit packing).
-  double HuffmanPerByteNs = 6.0;
   /// Optional verify-on-dedup (extension): byte comparison of an
   /// incoming chunk against the stored copy its digest matched.
   double VerifyPerByteNs = 0.25;
@@ -235,17 +232,12 @@ struct CostModel {
 
   /// CPU cost of decoding one stored chunk back to its \p OriginalBytes,
   /// in microseconds: the per-call setup, then a DRAM copy out of a
-  /// \p StoredRaw block, or the LZ pass preceded by the serial entropy
-  /// stage over \p EntropyBytes (an LzHuff block's payload; 0 for plain
-  /// LZ methods).
-  double cpuDecodeUs(std::size_t OriginalBytes, bool StoredRaw,
-                     std::size_t EntropyBytes) const {
+  /// \p StoredRaw block or the LZ pass.
+  double cpuDecodeUs(std::size_t OriginalBytes, bool StoredRaw) const {
     const double Original = static_cast<double>(OriginalBytes);
     if (StoredRaw)
       return Cpu.DecompressSetupUs + Cpu.CacheCopyPerByteNs * 1e-3 * Original;
-    return Cpu.DecompressSetupUs +
-           (Cpu.HuffmanPerByteNs * 1e-3 * static_cast<double>(EntropyBytes) +
-            Cpu.DecompressPerByteNs * 1e-3 * Original);
+    return Cpu.DecompressSetupUs + Cpu.DecompressPerByteNs * 1e-3 * Original;
   }
 
   /// One sub-block's cost under the warp-cooperative decode kernel, in

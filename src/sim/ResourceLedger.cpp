@@ -109,25 +109,10 @@ unsigned ResourceLedger::addTimelineLane(Resource Mirror) {
   return static_cast<unsigned>(Lanes.size() - 1);
 }
 
-unsigned ResourceLedger::timelineLaneCount() const {
-  std::lock_guard<std::mutex> Lock(TimelineMutex);
-  return static_cast<unsigned>(Lanes.size());
-}
-
 Resource ResourceLedger::laneMirror(unsigned LaneId) const {
   std::lock_guard<std::mutex> Lock(TimelineMutex);
   assert(LaneId < Lanes.size() && "Unknown timeline lane");
   return Lanes[LaneId].Mirror;
-}
-
-double ResourceLedger::laneFreeMicros(Resource R) const {
-  return laneFreeMicrosAt(static_cast<unsigned>(R));
-}
-
-double ResourceLedger::laneFreeMicrosAt(unsigned LaneId) const {
-  std::lock_guard<std::mutex> Lock(TimelineMutex);
-  assert(LaneId < Lanes.size() && "Unknown timeline lane");
-  return Lanes[LaneId].FreeUs;
 }
 
 double ResourceLedger::laneScheduledMicros(Resource R) const {

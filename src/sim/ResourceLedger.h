@@ -153,10 +153,6 @@ public:
   /// across device counts while the wall clock scales.
   unsigned addTimelineLane(Resource Mirror);
 
-  /// Timeline lanes in existence: ResourceCount plus registered aux
-  /// lanes. Lane ids [0, ResourceCount) are the resources themselves.
-  unsigned timelineLaneCount() const;
-
   /// The resource an aux lane mirrors (identity for ids < ResourceCount).
   Resource laneMirror(unsigned LaneId) const;
 
@@ -164,13 +160,6 @@ public:
   /// resource lanes, ids from addTimelineLane address aux lanes.
   LaneInterval scheduleLaneMicros(unsigned LaneId, double ReadyUs,
                                   double DurUs, bool Backfill = false);
-
-  /// Lane \p R's free-clock position (µs): when the next scheduled
-  /// operation could start at the earliest.
-  double laneFreeMicros(Resource R) const;
-
-  /// Free clock of an arbitrary lane id (µs).
-  double laneFreeMicrosAt(unsigned LaneId) const;
 
   /// Total duration scheduled onto lane \p R so far (µs), aux lanes
   /// mirroring \p R included — so the scheduled-equals-busy invariant

@@ -145,9 +145,6 @@ public:
   /// IOPS comparison baseline).
   double baselineWriteIops4K() const;
 
-  /// The sequential write bandwidth of the bare device in MB/s.
-  double baselineSeqWriteMBps() const { return Model.Ssd.SeqWriteMBps; }
-
   /// Attaches observability sinks: per-command I/O spans on the SSD
   /// lane plus a service-time histogram and per-op counters. Call
   /// before any traffic; sinks must outlive the model.

@@ -44,8 +44,8 @@ struct WorkloadConfig {
   std::uint64_t Seed = 42;
   /// Distinct byte values used in the incompressible cells. 256 (the
   /// default) makes them true random bytes; smaller alphabets model
-  /// text-like content whose *bytes* carry fewer bits — invisible to
-  /// LZ matching but food for the entropy stage (bench_entropy).
+  /// text-like content whose *bytes* carry fewer bits, which LZ
+  /// matching does not see.
   unsigned ContentAlphabet = 256;
 };
 

@@ -132,6 +132,73 @@ TEST(Block, MethodNames) {
   EXPECT_STREQ(blockMethodName(BlockMethod::Lz77), "lz77");
   EXPECT_STREQ(blockMethodName(BlockMethod::QuickLz), "quicklz");
   EXPECT_STREQ(blockMethodName(BlockMethod::GpuLane), "gpulane");
+  EXPECT_STREQ(blockMethodName(BlockMethod::Retired), "retired");
+  EXPECT_STREQ(blockMethodName(BlockMethod::LzFramed), "lzframed");
+}
+
+//===----------------------------------------------------------------------===//
+// Method dispatch through decodeChunkPayload
+//===----------------------------------------------------------------------===//
+
+TEST(ChunkCodec, DecodeDispatchesEveryMethod) {
+  const ByteVector Chunk = repetitiveData(4096, 1300);
+  const LzCodec Chain(LzCodec::MatcherKind::HashChain);
+  const CompressResult Lz =
+      Chain.compress(ByteSpan(Chunk.data(), Chunk.size()));
+  for (BlockMethod Method :
+       {BlockMethod::Lz77, BlockMethod::QuickLz, BlockMethod::GpuLane}) {
+    const ByteVector Block =
+        encodeBlock(Method, static_cast<std::uint32_t>(Chunk.size()),
+                    ByteSpan(Lz.Payload.data(), Lz.Payload.size()));
+    const auto View = decodeBlock(ByteSpan(Block.data(), Block.size()));
+    ASSERT_TRUE(View.has_value());
+    ByteVector Out;
+    ASSERT_TRUE(decodeChunkPayload(*View, Out));
+    EXPECT_EQ(Out, Chunk);
+  }
+  const ByteVector RawBlock =
+      encodeBlock(BlockMethod::Raw,
+                  static_cast<std::uint32_t>(Chunk.size()),
+                  ByteSpan(Chunk.data(), Chunk.size()));
+  const auto RawView =
+      decodeBlock(ByteSpan(RawBlock.data(), RawBlock.size()));
+  ASSERT_TRUE(RawView.has_value());
+  ByteVector Out;
+  ASSERT_TRUE(decodeChunkPayload(*RawView, Out));
+  EXPECT_EQ(Out, Chunk);
+}
+
+TEST(ChunkCodec, MethodByteSweepPinsWhatParsesAndDecodes) {
+  // Every method byte over a payload of the shape its method expects
+  // (raw bytes for 0, a frame for 5, an LZ token stream otherwise):
+  // bytes 0-5 parse, all but the retired 4 decode to the chunk, and a
+  // failed decode leaves the output untouched.
+  const ByteVector Chunk = repetitiveData(4096, 1301);
+  const ByteSpan Data(Chunk.data(), Chunk.size());
+  const LzCodec Chain(LzCodec::MatcherKind::HashChain);
+  const ByteVector Tokens = Chain.compress(Data).Payload;
+  const ByteVector Framed = Chain.compressFramed(Data, 4).Payload;
+  for (unsigned Byte = 0; Byte < 256; ++Byte) {
+    const ByteVector &Payload = Byte == 0 ? Chunk : Byte == 5 ? Framed : Tokens;
+    const ByteVector Block = encodeBlock(
+        static_cast<BlockMethod>(Byte),
+        static_cast<std::uint32_t>(Chunk.size()),
+        ByteSpan(Payload.data(), Payload.size()));
+    const auto View = decodeBlock(ByteSpan(Block.data(), Block.size()));
+    ASSERT_EQ(View.has_value(), Byte <= 5) << "method byte " << Byte;
+    if (!View)
+      continue;
+    const bool Decodes = View->Method != BlockMethod::Retired;
+    ByteVector Out = {0xEE};
+    EXPECT_EQ(decodeChunkPayload(*View, Out), Decodes)
+        << "method byte " << Byte;
+    if (Decodes)
+      EXPECT_TRUE(std::equal(Out.begin() + 1, Out.end(), Chunk.begin(),
+                             Chunk.end()))
+          << "method byte " << Byte;
+    else
+      EXPECT_EQ(Out, ByteVector{0xEE}) << "method byte " << Byte;
+  }
 }
 
 //===----------------------------------------------------------------------===//

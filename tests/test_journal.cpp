@@ -9,6 +9,7 @@
 ///
 //===----------------------------------------------------------------------===//
 
+#include "compress/Block.h"
 #include "fault/FaultInjector.h"
 #include "hash/Crc32.h"
 #include "journal/JournaledVolume.h"
@@ -680,6 +681,42 @@ TEST_F(JournalFixture, CheckpointCorruptionIsRejectedTyped) {
                   .St.code(),
               ErrorCode::ImageCorrupt);
   }
+}
+
+TEST_F(JournalFixture, CheckpointWithRetiredMethodBlockIsStateMismatch) {
+  auto Pipeline = makePipeline();
+  Volume Vol(*Pipeline, {BlockCount});
+  JournaledVolume Jv(Vol, *Pipeline, configOf());
+  for (std::uint64_t Op = 0; Op < 6; ++Op) {
+    const ByteVector Data = blockOf(Op);
+    ASSERT_TRUE(Jv.writeBlocks(Op, ByteSpan(Data.data(), Data.size())).ok());
+  }
+  ASSERT_TRUE(Jv.checkpoint().ok());
+  ByteVector File = slurp(CheckpointPath);
+
+  // Rewrite the embedded image's first block to the retired method 4
+  // (record header after the 40-byte superblock, then header byte 2),
+  // and re-seal both the image trailer and the checkpoint trailer.
+  const std::size_t Record = CheckpointPrefixSize + 40;
+  const std::uint64_t Location = loadLe64(File.data() + Record);
+  File[Record + 8 + 4 + 4 + Fingerprint::Size + 2] =
+      static_cast<std::uint8_t>(BlockMethod::Retired);
+  const std::size_t ImageEnd = File.size() - 4;
+  storeLe32(File.data() + ImageEnd - 4,
+            crc32c(ByteSpan(File.data() + CheckpointPrefixSize,
+                            ImageEnd - 4 - CheckpointPrefixSize)));
+  storeLe32(File.data() + ImageEnd, crc32c(ByteSpan(File.data(), ImageEnd)));
+  dump(CheckpointPath, ByteSpan(File.data(), File.size()));
+
+  auto FreshPipe = makePipeline();
+  Volume Restored(*FreshPipe, {BlockCount});
+  const RecoveryReport Report =
+      recoverVolume(JournalPath, CheckpointPath, *FreshPipe, Restored);
+  ASSERT_FALSE(Report.ok());
+  EXPECT_EQ(Report.St.code(), ErrorCode::StateMismatch);
+  EXPECT_EQ(Report.St.detail(), Location);
+  EXPECT_EQ(Restored.stats().MappedBlocks, 0u);
+  EXPECT_EQ(Restored.stats().LiveChunks, 0u);
 }
 
 TEST_F(JournalFixture, CheckpointFileIsPrefixImageAndTrailer) {

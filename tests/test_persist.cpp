@@ -3,10 +3,12 @@
 /// \file
 /// Tests for volume image persistence: save/load round trips (data,
 /// mapping, refcounts, dead list), dedup continuity across remounts,
-/// and corruption/mismatch rejection.
+/// and corruption/mismatch rejection (the retired block method 4
+/// included).
 ///
 //===----------------------------------------------------------------------===//
 
+#include "compress/Block.h"
 #include "hash/Crc32.h"
 #include "persist/VolumeImage.h"
 #include "util/Random.h"
@@ -185,9 +187,12 @@ TEST_F(PersistFixture, RejectsBitFlipAnywhere) {
 }
 
 TEST_F(PersistFixture, SemanticCorruptionLeavesTargetUntouched) {
-  // A CRC-valid image with an out-of-range mapping LBA exercises the
-  // two-phase decode: validation fails *after* the CRC passes, and the
-  // target pair must remain untouched and fully usable.
+  // CRC-valid images exercise the two-phase decode: validation fails
+  // *after* the CRC passes, and the target pair must remain untouched
+  // and fully usable. Two inputs: an out-of-range mapping LBA
+  // (ImageCorrupt) and a well-formed block of the retired method 4
+  // (StateMismatch: the image is intact, but this build cannot decode
+  // it), each naming what it rejected.
   auto Pipeline = makePipeline();
   VolumeConfig VolConfig;
   VolConfig.BlockCount = 32;
@@ -211,46 +216,61 @@ TEST_F(PersistFixture, SemanticCorruptionLeavesTargetUntouched) {
   // With no snapshots the file tail is: ..., last 16-byte mapping
   // record, u64 snapshot count (0), u64 next snapshot id, u32 trailer
   // CRC — so the last record's LBA field sits 36 bytes from the end.
-  // Point it past the volume and recompute the CRC so only semantic
-  // validation can reject it.
-  ByteVector Corrupt = Pristine;
-  const std::size_t LbaOffset = Corrupt.size() - 4 - 8 - 8 - 16;
+  ByteVector BadLbaImage = Pristine;
   const std::uint64_t BadLba = VolConfig.BlockCount + 999;
-  storeLe64(Corrupt.data() + LbaOffset, BadLba);
-  storeLe32(Corrupt.data() + Corrupt.size() - 4,
-            crc32c(ByteSpan(Corrupt.data(), Corrupt.size() - 4)));
-  {
+  storeLe64(BadLbaImage.data() + BadLbaImage.size() - 4 - 8 - 8 - 16,
+            BadLba);
+  // The first chunk record follows the 40-byte superblock: u64
+  // location, u32 size, u32 refs, 20-byte fingerprint, then the block,
+  // whose method is header byte 2. The block CRC covers only the
+  // payload, so the rewritten block stays well-formed.
+  constexpr std::size_t FirstRecord = 40;
+  ByteVector RetiredImage = Pristine;
+  RetiredImage[FirstRecord + 8 + 4 + 4 + Fingerprint::Size + 2] =
+      static_cast<std::uint8_t>(BlockMethod::Retired);
+  const struct {
+    ByteVector Image;
+    fault::ErrorCode Code;
+    std::uint64_t Detail;
+  } Cases[] = {
+      {BadLbaImage, fault::ErrorCode::ImageCorrupt, BadLba},
+      {RetiredImage, fault::ErrorCode::StateMismatch,
+       loadLe64(Pristine.data() + FirstRecord)},
+  };
+
+  const auto WriteImage = [&](ByteSpan Bytes) {
     std::FILE *Out = std::fopen(ImagePath.c_str(), "wb");
     ASSERT_NE(Out, nullptr);
-    ASSERT_EQ(std::fwrite(Corrupt.data(), 1, Corrupt.size(), Out),
-              Corrupt.size());
+    ASSERT_EQ(std::fwrite(Bytes.data(), 1, Bytes.size(), Out), Bytes.size());
     std::fclose(Out);
-  }
+  };
+  for (const auto &Case : Cases) {
+    SCOPED_TRACE(fault::errorCodeName(Case.Code));
+    // Re-seal the trailer so only semantic validation can reject it.
+    ByteVector Corrupt = Case.Image;
+    storeLe32(Corrupt.data() + Corrupt.size() - 4,
+              crc32c(ByteSpan(Corrupt.data(), Corrupt.size() - 4)));
+    WriteImage(ByteSpan(Corrupt.data(), Corrupt.size()));
 
-  auto Fresh = makePipeline();
-  Volume Restored(*Fresh, VolConfig);
-  const ImageResult Result = loadVolumeImage(ImagePath, *Fresh, Restored);
-  ASSERT_FALSE(Result.Ok);
-  EXPECT_EQ(Result.Status.code(), fault::ErrorCode::ImageCorrupt);
-  EXPECT_EQ(Result.Status.detail(), BadLba);
-  EXPECT_EQ(Restored.stats().MappedBlocks, 0u);
-  EXPECT_EQ(Restored.stats().LiveChunks, 0u);
+    auto Fresh = makePipeline();
+    Volume Restored(*Fresh, VolConfig);
+    const ImageResult Result = loadVolumeImage(ImagePath, *Fresh, Restored);
+    ASSERT_FALSE(Result.Ok);
+    EXPECT_EQ(Result.Status.code(), Case.Code);
+    EXPECT_EQ(Result.Status.detail(), Case.Detail);
+    EXPECT_EQ(Restored.stats().MappedBlocks, 0u);
+    EXPECT_EQ(Restored.stats().LiveChunks, 0u);
 
-  // The very pair that saw the failed load must accept the pristine
-  // image — proof no partial state leaked into pipeline or volume.
-  {
-    std::FILE *Out = std::fopen(ImagePath.c_str(), "wb");
-    ASSERT_NE(Out, nullptr);
-    ASSERT_EQ(std::fwrite(Pristine.data(), 1, Pristine.size(), Out),
-              Pristine.size());
-    std::fclose(Out);
-  }
-  const ImageResult Retry = loadVolumeImage(ImagePath, *Fresh, Restored);
-  ASSERT_TRUE(Retry.Ok) << Retry.Message;
-  for (std::uint64_t Lba = 0; Lba < 4; ++Lba) {
-    const auto Read = Restored.readBlocks(Lba, 1);
-    ASSERT_TRUE(Read.has_value());
-    EXPECT_EQ(*Read, blockOf(Lba + 1)) << "LBA " << Lba;
+    // The very pair that saw the failed load must accept the pristine
+    // image — proof no partial state leaked into pipeline or volume.
+    WriteImage(ByteSpan(Pristine.data(), Pristine.size()));
+    const ImageResult Retry = loadVolumeImage(ImagePath, *Fresh, Restored);
+    ASSERT_TRUE(Retry.Ok) << Retry.Message;
+    for (std::uint64_t Lba = 0; Lba < 4; ++Lba) {
+      const auto Read = Restored.readBlocks(Lba, 1);
+      ASSERT_TRUE(Read.has_value());
+      EXPECT_EQ(*Read, blockOf(Lba + 1)) << "LBA " << Lba;
+    }
   }
 }
 

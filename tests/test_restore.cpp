@@ -3,14 +3,16 @@
 /// \file
 /// Tests for the batched restore pipeline (src/restore): CPU and warp
 /// decode round trips, batch dedup and SSD coalescing, the cache front
-/// tier and recipe-locality readahead, decode-failure accounting, the
-/// Auto probe, framed/unframed routing (legacy unframed GpuLane images
-/// included), the span/report reconciliation contract, and
-/// volume-level reads interleaved with TRIM / GC / snapshots / scrub.
+/// tier and recipe-locality readahead, decode-failure accounting (the
+/// retired block method 4 included), the Auto probe, framed/unframed
+/// routing (legacy unframed GpuLane images included), the span/report
+/// reconciliation contract, and volume-level reads interleaved with
+/// TRIM / GC / snapshots / scrub.
 ///
 //===----------------------------------------------------------------------===//
 
 #include "compress/ChunkCodec.h"
+#include "compress/LzCodec.h"
 #include "core/TraceRunner.h"
 #include "hash/Crc32.h"
 #include "obs/Obs.h"
@@ -933,6 +935,57 @@ TEST_F(RestoreFixture, CorruptChunkDoesNotPolluteCacheAndIsTyped) {
   EXPECT_FALSE(Cache->contains(Bad));
   EXPECT_TRUE(Cache->contains(All[0]));
   EXPECT_TRUE(Cache->contains(All[4]));
+}
+
+TEST(RestoreRetired, Method4BlockFailsAsADecodeError) {
+  // A well-formed block of the retired method 4 placed in the store the
+  // way WAL replay places blocks (restoreChunk, no image check). Every
+  // decode mode fails it as a decode error: no bytes delivered, nothing
+  // cached, the decode-failure count up by one, the neighbour intact.
+  MetricsRegistry Metrics;
+  PipelineConfig PipeConfig;
+  PipeConfig.ReadCacheBytes = 1 << 20;
+  PipeConfig.Metrics = &Metrics;
+  ReductionPipeline Pipe(Platform::paper(), PipeConfig);
+  const ByteVector Chunk = makeStream(BlockSize, 1.0);
+  const ByteVector Tokens =
+      LzCodec(LzCodec::MatcherKind::SingleProbe)
+          .compress(ByteSpan(Chunk.data(), Chunk.size()))
+          .Payload;
+  const ByteSpan TokenSpan(Tokens.data(), Tokens.size());
+  const auto Size = static_cast<std::uint32_t>(Chunk.size());
+  const ByteVector Fp0(Fingerprint::Size, 0x01), Fp1(Fingerprint::Size, 0x02);
+  ASSERT_TRUE(Pipe.restoreChunk(
+      0, encodeBlock(BlockMethod::QuickLz, Size, TokenSpan),
+      Fingerprint::fromBytes(ByteSpan(Fp0.data(), Fp0.size()))));
+  ASSERT_TRUE(Pipe.restoreChunk(
+      1, encodeBlock(BlockMethod::Retired, Size, TokenSpan),
+      Fingerprint::fromBytes(ByteSpan(Fp1.data(), Fp1.size()))));
+
+  std::uint64_t Failed = 0;
+  for (const DecodeMode Mode :
+       {DecodeMode::Auto, DecodeMode::Cpu, DecodeMode::WarpGpu}) {
+    SCOPED_TRACE(decodeModeName(Mode));
+    ReadConfig Config;
+    Config.Mode = Mode;
+    ReadPipeline Reader(Pipe, Config);
+    const std::uint64_t Locations[] = {0, 1};
+    std::vector<ByteVector> Out;
+    std::vector<ReadFailure> Failures;
+    EXPECT_FALSE(Reader.readLocations(Locations, Out, &Failures));
+    ASSERT_EQ(Failures.size(), 1u);
+    EXPECT_EQ(Failures[0].Location, 1u);
+    EXPECT_EQ(Failures[0].Code, fault::ErrorCode::DecodeError);
+    ASSERT_EQ(Out.size(), 2u);
+    EXPECT_EQ(Out[0], Chunk);
+    EXPECT_TRUE(Out[1].empty());
+    EXPECT_EQ(Reader.report().DecodeFailures, 1u);
+    EXPECT_FALSE(Pipe.readCache()->contains(1));
+    ++Failed;
+  }
+  const Counter *Fails = Metrics.findCounter("padre_read_decode_fail_total");
+  ASSERT_NE(Fails, nullptr);
+  EXPECT_EQ(Fails->value(), Failed);
 }
 
 TEST_F(RestoreFixture, MissingChunkReportsTypedFailure) {

@@ -44,7 +44,6 @@
 ///   --dedup D        workload dedup ratio        (default 2.0)
 ///   --comp C         workload compression ratio  (default 2.0)
 ///   --chunk N        chunk size in bytes         (default 4096)
-///   --entropy        enable the Huffman entropy stage
 ///   --verify-dedup   byte-compare every digest match
 ///   --cache N        read-cache capacity in bytes (default off)
 ///   --chunking fixed|rabin|fastcdc   (run only; default fixed)
@@ -126,7 +125,6 @@ struct Options {
   double DedupRatio = 2.0;
   double CompressRatio = 2.0;
   std::size_t ChunkSize = 4096;
-  bool Entropy = false;
   std::uint64_t Seed = 42;
   std::string ImagePath;
   std::string TracePath;
@@ -174,8 +172,7 @@ void usage() {
       "  --platform paper|no-gpu|weak-gpu|fast-gpu\n"
       "  --mode cpu-only|gpu-dedup|gpu-compress|gpu-both|auto\n"
       "  --bytes N  --dedup D  --comp C  --chunk N  --seed N\n"
-      "  --entropy  --verify-dedup  --cache N  --chunking "
-      "fixed|rabin|fastcdc\n"
+      "  --verify-dedup  --cache N  --chunking fixed|rabin|fastcdc\n"
       "  --threads N (modelled CPU threads)  --image PATH\n"
       "  --trace FILE  --trace-ops N\n"
       "  --trace-out FILE.json  --metrics-out FILE.prom\n"
@@ -252,9 +249,7 @@ bool parseArgs(int Argc, char **Argv, Options &Opts) {
       return true;
     };
     std::string Value;
-    if (Arg == "--entropy") {
-      Opts.Entropy = true;
-    } else if (Arg == "--platform" && NextValue(Value)) {
+    if (Arg == "--platform" && NextValue(Value)) {
       if (!parsePlatform(Value, Opts.Plat)) {
         std::fprintf(stderr, "error: unknown platform '%s'\n",
                      Value.c_str());
@@ -459,7 +454,6 @@ PipelineConfig pipelineConfigFor(const Options &Opts, PipelineMode Mode) {
   Config.Mode = Mode;
   Config.ChunkSize = Opts.ChunkSize;
   Config.Dedup.Index.BinBits = 10;
-  Config.Compress.EntropyStage = Opts.Entropy;
   Config.VerifyDuplicates = Opts.VerifyDedup;
   Config.ReadCacheBytes = Opts.CacheBytes;
   Config.Chunking = Opts.Chunking;
@@ -705,10 +699,10 @@ int commandRun(const Options &OptsIn) {
     std::fprintf(stderr, "error: read-back verification FAILED\n");
     return 1;
   }
-  std::printf("mode %s on %s, %s stream (dedup %.1f, comp %.1f%s)\n\n",
+  std::printf("mode %s on %s, %s stream (dedup %.1f, comp %.1f)\n\n",
               pipelineModeName(Mode), Opts.Plat.Name.c_str(),
               formatSize(Data.size()).c_str(), Opts.DedupRatio,
-              Opts.CompressRatio, Opts.Entropy ? ", entropy" : "");
+              Opts.CompressRatio);
   const PipelineReport WriteReport = Pipeline.report();
   std::printf("%s\n", WriteReport.toString().c_str());
   printOverlapSummary(WriteReport);
